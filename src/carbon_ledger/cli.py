@@ -27,7 +27,7 @@ from .errors import (
 from .ingestion import Dataset
 from .model import Consensus, ConsensusParams, Method
 from .numeric import DEFAULT_SIG_DIGITS
-from .remote import RemoteDayClient
+from .remote import RemoteDayClient, check_network_id
 
 _METHODS = {
     "holding": Method.HOLDING_BASED,
@@ -111,6 +111,10 @@ def _load_dataset(
     if remote is not None:
         if start is None or end is None:
             raise _Failure(EXIT_IO, "--remote requires --from and --to")
+        try:
+            check_network_id(network)
+        except ValueError as exc:
+            raise _Failure(EXIT_IO, f"--network: {exc}") from None
         client = RemoteDayClient(
             remote,
             cache_dir or Path(".carbon-ledger-cache"),

@@ -653,19 +653,21 @@ def join_issues(
                 f"{dataset.network_id!r}",
                 "network_id",
             )
+        # the bound engine.holding_share enforces, computed once per day
+        effective_supply = {date: day.effective_supply() for date, day in day_map.items()}
         for holding in portfolio.holdings:
-            day = day_map.get(holding.date)
-            if day is None:
+            supply = effective_supply.get(holding.date)
+            if supply is None:
                 join_issue(
                     "portfolio.holdings",
                     f"{holding.entity_id}: no network day for {holding.date}",
                     "date",
                 )
-            elif holding.amount.value > day.coin_supply.value:
+            elif holding.amount.value > supply:
                 join_issue(
                     "portfolio.holdings",
                     f"{holding.entity_id}: amount {holding.amount.value} exceeds coin supply "
-                    f"{day.coin_supply.value} on {holding.date}",
+                    f"net of lost coins {supply} on {holding.date}",
                     "amount",
                 )
         for tx in portfolio.transactions:

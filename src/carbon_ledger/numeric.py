@@ -49,69 +49,69 @@ def is_finite_decimal(value: Fraction) -> bool:
     return d == 1
 
 
+def _render(sign: str, q: int, k: int) -> str:
+    """Normalized decimal string of sign q * 10**k: no exponent, no trailing zeros."""
+    if q == 0:
+        return "0"
+    digits = str(q).rstrip("0")
+    k += len(str(q)) - len(digits)
+    if k >= 0:
+        return sign + digits + "0" * k
+    point = len(digits) + k
+    if point > 0:
+        return f"{sign}{digits[:point]}.{digits[point:]}"
+    return f"{sign}0.{'0' * -point}{digits}"
+
+
 def decimal_str(value: Fraction) -> str:
     """Render an exact finite decimal, normalized (no trailing zeros).
 
     Raises ValueError if the value has no finite decimal expansion; callers
-    that may hold arbitrary rationals must round first (``round_sig``).
+    that may hold arbitrary rationals must round first (``format_sig``).
     """
-    if value == 0:
-        return "0"
-    sign = "-" if value < 0 else ""
-    n, d = abs(value.numerator), value.denominator
-    twos = fives = 0
+    d, twos, fives = value.denominator, 0, 0
     while d % 2 == 0:
-        d //= 2
-        twos += 1
+        d, twos = d // 2, twos + 1
     while d % 5 == 0:
-        d //= 5
-        fives += 1
+        d, fives = d // 5, fives + 1
     if d != 1:
         raise ValueError(f"{value!r} has no finite decimal expansion")
-    places = max(twos, fives)
-    # n * 10**places is divisible by the denominator once 2s and 5s are cleared
-    digits = str(n * 10**places // value.denominator)
-    if places == 0:
-        return sign + digits
-    digits = digits.rjust(places + 1, "0")
-    whole, frac = digits[:-places], digits[-places:]
-    frac = frac.rstrip("0")
-    return sign + whole + ("." + frac if frac else "")
+    k = max(twos, fives)
+    return _render("-" if value < 0 else "", abs(value.numerator) * 10**k // value.denominator, -k)
 
 
-def _floor_log10(value: Fraction) -> int:
-    """Exact floor(log10(value)) for value > 0."""
-    n, d = value.numerator, value.denominator
-    estimate = len(str(n)) - len(str(d))
-    while value < Fraction(10) ** estimate:
-        estimate -= 1
-    while value >= Fraction(10) ** (estimate + 1):
-        estimate += 1
-    return estimate
+def _round_half_even(value: Fraction, sig_digits: int) -> tuple[int, int]:
+    """(q, k) with |value| rounded half-even to ``sig_digits`` equal to q * 10**k.
 
-
-def round_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> Fraction:
-    """Round half-even to ``sig_digits`` significant decimal digits, exactly.
-
-    The tie comparison happens on exact rationals, so there is no
-    double-rounding: this is the only place precision is given up.
+    Integer-only: no big integer is turned into a string, and the tie is exact.
     """
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
-    if value == 0:
-        return Fraction(0)
-    magnitude = abs(value)
-    quantum = Fraction(10) ** (_floor_log10(magnitude) - sig_digits + 1)
-    scaled = magnitude / quantum
-    whole = scaled.numerator // scaled.denominator
-    remainder = scaled - whole
-    half = Fraction(1, 2)
-    if remainder > half or (remainder == half and whole % 2 == 1):
-        whole += 1
-    result = whole * quantum
-    return -result if value < 0 else result
+    n, d = abs(value.numerator), value.denominator
+    if n == 0:
+        return 0, 0
+    low, high = 10 ** (sig_digits - 1), 10**sig_digits
+    # floor(log10(n/d)) estimated from bit lengths; the loop makes it exact
+    k = (n.bit_length() - d.bit_length()) * 30103 // 100000 - sig_digits + 1
+    while True:
+        num, div = (n, d * 10**k) if k >= 0 else (n * 10**-k, d)
+        q, r = divmod(num, div)
+        if low <= q < high:
+            break
+        k += 1 if q >= high else -1
+    if 2 * r > div or (2 * r == div and q % 2 == 1):
+        q += 1
+        if q == high:
+            q, k = low, k + 1
+    return q, k
+
+
+def round_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> Fraction:
+    """Round half-even to ``sig_digits`` significant digits; shares ``format_sig``'s kernel."""
+    q, k = _round_half_even(value, sig_digits)
+    return (-q if value < 0 else q) * Fraction(10) ** k
 
 
 def format_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
     """Round half-even to significant digits and render a normalized decimal."""
-    return decimal_str(round_sig(value, sig_digits))
+    return _render("-" if value < 0 else "", *_round_half_even(value, sig_digits))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import re
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -19,6 +20,20 @@ from pathlib import Path
 from .errors import MalformedResponse, RangeUnavailable, Unreachable
 from .ingestion import DEFAULT_COIN_DECIMALS, _RowIssue, day_from_fields, _day_fields
 from .model import ConsensusParams, NetworkDay
+
+
+# Network ids become one path segment of both the URL and the cache path, so
+# separators, dot-only names and percent-escapes are never accepted.
+_SAFE_NETWORK_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
+
+
+def check_network_id(network_id: str) -> None:
+    """Raise ValueError unless the id is safe as a URL and file path segment."""
+    if _SAFE_NETWORK_ID.fullmatch(network_id) is None:
+        raise ValueError(
+            f"unsafe network id {network_id!r}: expected 1-64 characters from "
+            "A-Z a-z 0-9 . _ -, starting with a letter or digit"
+        )
 
 
 def date_range(start: _dt.date, end: _dt.date) -> list[_dt.date]:
@@ -107,6 +122,7 @@ class RemoteDayClient:
         When any day is missing locally, the whole range is requested once,
         validated exactly like file ingestion, and written through the cache.
         """
+        check_network_id(network_id)
         wanted = date_range(start, end)
         if not wanted:
             return ()

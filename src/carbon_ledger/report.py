@@ -303,6 +303,8 @@ _RESULT_COLUMNS = (
 def _result_cells(result: AllocationResult, sig_digits: int, with_carbon: bool) -> list[str]:
     audit = result.audit
     carbon = result.carbon if with_carbon else None
+    # pool_weight rebuilds the factor product on every access; read it once
+    pool_weight = audit.pool_weight
     return [
         result.date.isoformat(),
         result.entity_id,
@@ -312,8 +314,8 @@ def _result_cells(result: AllocationResult, sig_digits: int, with_carbon: bool) 
         format_sig(result.energy.value_in("kWh"), sig_digits),
         format_sig(carbon.grams, sig_digits) if carbon is not None else "",
         format_sig(audit.base_wh, sig_digits),
-        format_sig(audit.pool_weight, sig_digits),
-        format_sig(audit.pool_wh, sig_digits),
+        format_sig(pool_weight, sig_digits),
+        format_sig(audit.base_wh * pool_weight, sig_digits),
         format_sig(audit.entity_share, sig_digits),
         audit.entity_basis,
         audit.weight_source or "",

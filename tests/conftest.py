@@ -10,6 +10,7 @@ cells land on the published per-coin and per-transaction values.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from carbon_ledger import (
     NetworkDay,
     Share,
 )
+from carbon_ledger.ingestion import NETWORK_CSV_COLUMNS
 
 POW = ConsensusParams(Consensus.POW)
 POS = ConsensusParams(Consensus.POS)
@@ -190,3 +192,85 @@ def btc_day() -> NetworkDay:
 @pytest.fixture
 def eth_pos_day() -> NetworkDay:
     return pos_day()
+
+
+# Realistic-precision CSV/JSON inputs for CLI tests: 6 fractional digits on
+# energy, shares and emission factors, 8 on coin quantities; supply,
+# lost-coin fraction and emission factor change every day.
+
+
+def decimal_token(rng: random.Random, low: int | str, high: int | str, places: int) -> str:
+    """Uniform decimal in [low, high) with exactly ``places`` fractional digits."""
+    scale = 10**places
+    units = rng.randrange(int(Fraction(str(low)) * scale), int(Fraction(str(high)) * scale))
+    whole, fraction = divmod(units, scale)
+    return f"{whole}.{fraction:0{places}d}"
+
+
+def realistic_days_csv(rng: random.Random, kind: str, start: dt.date, count: int) -> str:
+    """Network-day CSV text: bitcoin-like for ``pow``, ethereum-like for ``pos``."""
+    lines = [",".join(NETWORK_CSV_COLUMNS)]
+    for index in range(count):
+        date = (start + dt.timedelta(days=index)).isoformat()
+        factor = decimal_token(rng, 400, 600, 6)
+        if kind == "pow":
+            supply = decimal_token(rng, 18_600_000 + 900 * index, 18_600_900 + 900 * index, 8)
+            cells = [
+                date,
+                decimal_token(rng, 680_000_000_000, 1_100_000_000_000, 6),
+                decimal_token(rng, 812, 1000, 8),
+                decimal_token(rng, 10, 200, 8),
+                supply,
+                decimal_token(rng, "0.15", "0.25", 6),
+                str(rng.randrange(180_000, 400_000)),
+                "",
+                "",
+                factor,
+            ]
+        else:
+            cells = [
+                date,
+                decimal_token(rng, 6_500_000, 7_500_000, 6),
+                "",
+                decimal_token(rng, 1000, 5000, 8),
+                decimal_token(rng, 120_000_000, 120_100_000, 8),
+                decimal_token(rng, "0.01", "0.05", 6),
+                str(rng.randrange(900_000, 1_300_000)),
+                str(rng.randrange(90_000_000_000, 120_000_000_000)),
+                decimal_token(rng, "0.01", "0.2", 6),
+                factor,
+            ]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def realistic_portfolio_json(
+    rng: random.Random, kind: str, network: str, start: dt.date, count: int, entities: int
+) -> str:
+    """One holding and one transaction per entity per day."""
+    holdings = []
+    transactions = []
+    for index in range(count):
+        date = (start + dt.timedelta(days=index)).isoformat()
+        for entity in range(entities):
+            entity_id = f"entity-{entity:02d}"
+            holdings.append(
+                {"entity_id": entity_id, "date": date, "amount": decimal_token(rng, "0.001", 5000, 8)}
+            )
+            tx = {
+                "entity_id": entity_id,
+                "date": date,
+                "tx_count": rng.randrange(1, 50),
+                "fee_paid": decimal_token(rng, "0.00001", "0.5", 8),
+            }
+            if kind == "pos":
+                tx["gas_used"] = str(rng.randrange(21_000, 5_000_000))
+            transactions.append(tx)
+    return json.dumps(
+        {
+            "schema_version": "1",
+            "network_id": network,
+            "holdings": holdings,
+            "transactions": transactions,
+        }
+    )

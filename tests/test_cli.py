@@ -2,6 +2,8 @@
 
 import datetime as dt
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from carbon_ledger import serialize_network_csv, serialize_portfolio
 from carbon_ledger.cli import main
 from carbon_ledger.ingestion import NETWORK_CSV_COLUMNS
 from carbon_ledger.model import CoinAmount, HoldingRecord, Portfolio, TransactionRecord
-from conftest import bitcoin_2021_days, pow_day
+from conftest import bitcoin_2021_days, pow_day, realistic_days_csv, realistic_portfolio_json
 
 HEADER = ",".join(NETWORK_CSV_COLUMNS)
 
@@ -182,6 +184,29 @@ class TestValidate:
         assert bad.exit_code == 1
         assert "exceeds token supply" in bad.output
 
+    def test_holding_above_lost_coin_adjusted_supply_fails_like_allocate(self, runner, tmp_path):
+        # supply 100 with half of it lost: a holding of 80 exceeds the effective 50
+        days = tmp_path / "days.csv"
+        days.write_text(HEADER + "\n2021-01-01,1000,900,60,100,0.5,250000,,,\n")
+        portfolio = Portfolio(
+            "bitcoin",
+            holdings=(HoldingRecord("alice", dt.date(2021, 1, 1), CoinAmount(Fraction(80))),),
+        )
+        portfolio_path = tmp_path / "portfolio.json"
+        portfolio_path.write_text(serialize_portfolio(portfolio))
+        validated = runner.invoke(
+            main,
+            ["validate", str(days), str(portfolio_path), "--network", "bitcoin", "--consensus", "pow"],
+        )
+        assert validated.exit_code == 1
+        assert "amount 80 exceeds coin supply net of lost coins 50" in validated.output
+        allocated = runner.invoke(
+            main,
+            ["allocate", *network_args(days), "--portfolio", str(portfolio_path), "--method", "hybrid"],
+        )
+        assert allocated.exit_code == 1
+        assert "amount 80 exceeds coin supply net of lost coins 50" in allocated.output
+
 
 class TestAllocate:
     def test_json_output(self, runner, btc_csv, portfolio_json):
@@ -317,6 +342,35 @@ class TestAllocate:
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert first.output == second.output
+
+
+    def test_year_horizon_summary_renders_within_digit_limit(self, runner, tmp_path):
+        # A year of daily-varying supply, lost-coin fraction and emission factor
+        # drives the period summary's rationals far past 4,300 digits.
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            rng = random.Random(365)
+            days = tmp_path / "year.csv"
+            days.write_text(realistic_days_csv(rng, "pow", dt.date(2021, 1, 1), 365))
+            portfolio = tmp_path / "portfolio.json"
+            portfolio.write_text(
+                realistic_portfolio_json(rng, "pow", "bitcoin", dt.date(2021, 1, 1), 365, 2)
+            )
+            out = tmp_path / "results.csv"
+            args = ["allocate", *network_args(days), "--portfolio", str(portfolio)]
+            result = runner.invoke(
+                main,
+                [*args, "--method", "hybrid", "--carbon", "--format", "csv", "--out", str(out)],
+            )
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert result.exit_code == 0, result.output
+        assert len(out.read_text().splitlines()) == 1 + 365 * 2 * 2
+        summary = json.loads((tmp_path / "results.csv.summary.json").read_text())
+        assert summary["holding"]["days_covered"] == 365
+        assert summary["transaction"]["total_carbon_g"] is not None
 
 
 class TestCompare:

@@ -1,9 +1,11 @@
 """Exact parsing, rendering, and half-even significant-digit rounding."""
 
+import re
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbon_ledger.numeric import (
@@ -133,3 +135,42 @@ def test_round_sig_error_bounded_by_half_quantum(value, sig):
         return
     # relative error of significant-digit rounding is at most 5 * 10^-sig
     assert abs(rounded - value) <= abs(value) * Fraction(5, 10**sig)
+
+
+# Magnitudes from small to far beyond the 4,300-digit int/str conversion limit.
+_magnitudes = st.one_of(
+    st.integers(min_value=1, max_value=10**30),
+    st.integers(min_value=10**5000, max_value=10**5200),
+)
+_NORMALIZED = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?")
+
+
+@st.composite
+def _values_and_digits(draw):
+    sig = draw(st.integers(min_value=1, max_value=30))
+    if draw(st.booleans()):
+        # an exact tie: sig digits followed by a 5, at any scale
+        head = draw(st.integers(min_value=10 ** (sig - 1), max_value=10**sig - 1))
+        value = (head * 10 + 5) * Fraction(10) ** draw(st.integers(min_value=-6000, max_value=6000))
+    else:
+        value = Fraction(draw(_magnitudes), draw(_magnitudes))
+    return (-value if draw(st.booleans()) else value), sig
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values_and_digits())
+def test_format_sig_matches_decimal_oracle(case):
+    value, sig = case
+    context = Context(prec=sig, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    expected = context.divide(Decimal(value.numerator), Decimal(value.denominator))
+    rendered = format_sig(value, sig)
+    assert _NORMALIZED.fullmatch(rendered), rendered[:80]
+    # Decimal(str) is exact, so this compares the two values exactly
+    assert Decimal(rendered) == expected
+    assert round_sig(value, sig) == Fraction(*expected.as_integer_ratio())
+
+
+def test_format_sig_renders_values_beyond_the_digit_limit():
+    huge = Fraction(10**9000 + 1, 3 * 10**4500)
+    assert format_sig(huge, 6) == "333333" + "0" * 4494
+    assert format_sig(Fraction(1, 7 * 10**6000), 3) == "0." + "0" * 6000 + "143"

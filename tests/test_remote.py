@@ -196,3 +196,50 @@ class TestRemoteThroughCli:
             ["series", "--remote", "http://127.0.0.1:1", "--network", "x", "--consensus", "pow"],
         )
         assert result.exit_code == 2
+
+
+class TestNetworkIds:
+    @pytest.mark.parametrize(
+        "network_id", ["../../x", "a/b", "..", ".hidden", "", "x" * 65, "x%2f..", "bit coin", "a\\b"]
+    )
+    def test_unsafe_id_rejected_before_any_request(self, tmp_path, network_id):
+        client = RemoteDayClient("http://127.0.0.1:1", tmp_path / "cache", POW)
+        with pytest.raises(ValueError, match="unsafe network id"):
+            client.fetch_days(network_id, START, END)
+        assert client.fetch_count == 0
+        assert not (tmp_path / "cache").exists()
+
+    def test_safe_ids_accepted(self, index_server, tmp_path):
+        client = make_client(index_server, tmp_path)
+        for network_id in ["bitcoin", "eth-mainnet", "l2_v2.0", "x" * 64]:
+            assert len(client.fetch_days(network_id, START, END)) == 3
+            assert (tmp_path / "cache" / network_id / "2021-01-01.json").exists()
+
+    def test_cli_traversal_id_exits_two_and_writes_nothing(self, index_server, tmp_path):
+        from click.testing import CliRunner
+
+        from carbon_ledger.cli import main
+
+        cache = tmp_path / "work" / "cache"
+        cache.mkdir(parents=True)
+        result = CliRunner().invoke(
+            main,
+            [
+                "series",
+                "--remote",
+                f"http://127.0.0.1:{index_server.server_address[1]}",
+                "--cache-dir",
+                str(cache),
+                "--network",
+                "../../x",
+                "--consensus",
+                "pow",
+                "--from",
+                "2021-01-01",
+                "--to",
+                "2021-01-03",
+            ],
+        )
+        assert result.exit_code == 2
+        assert "--network" in result.output
+        assert [path for path in tmp_path.rglob("*") if path != cache.parent and path != cache] == []
