@@ -18,7 +18,6 @@ from . import engine, ingestion, report
 from .errors import (
     CarbonLedgerError,
     DatasetInvalid,
-    MalformedResponse,
     RangeUnavailable,
     SchemaMismatch,
     Unreachable,
@@ -55,37 +54,31 @@ def _date(value: str | None, flag: str) -> _dt.date | None:
         raise _Failure(EXIT_IO, f"{flag}: not an ISO-8601 date: {value!r}") from None
 
 
+# Exit code of an error that escapes a command. The first type the error is
+# an instance of decides, so a remote fetch failure exits 2 before the
+# domain-error rule can claim it.
+_EXIT_CODES = {
+    Unreachable: EXIT_IO,
+    RangeUnavailable: EXIT_IO,
+    CarbonLedgerError: EXIT_VALIDATION,
+    ValueError: EXIT_VALIDATION,
+    OSError: EXIT_IO,
+}
+
+
 def _run(body) -> None:
     try:
         body()
     except _Failure as failure:
         click.echo(failure.message, err=True)
         sys.exit(failure.code)
-    except SchemaMismatch as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_VALIDATION)
-    except DatasetInvalid as exc:
-        for issue in exc.issues:
-            click.echo(issue.render(), err=True)
-        sys.exit(EXIT_VALIDATION)
-    except Unreachable as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_IO)
-    except RangeUnavailable as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_IO)
-    except MalformedResponse as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_VALIDATION)
-    except CarbonLedgerError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_VALIDATION)
-    except ValueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_VALIDATION)
-    except OSError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_IO)
+    except tuple(_EXIT_CODES) as exc:
+        if isinstance(exc, DatasetInvalid):
+            for issue in exc.issues:
+                click.echo(issue.render(), err=True)
+        else:
+            click.echo(str(exc), err=True)
+        sys.exit(next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -306,7 +299,7 @@ def allocate(
             )
         day_list = dataset.days
         if fill == "forward":
-            day_list = ingestion.fill_forward(day_list, selected.dates())
+            day_list = engine.fill_forward(day_list, selected.dates())
         joined = Dataset(
             network_id=dataset.network_id, consensus=dataset.consensus, days=day_list
         )

@@ -11,7 +11,7 @@ results carry a replayable audit trail.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -337,6 +337,29 @@ def check_days_ordered(days: tuple[NetworkDay, ...] | list[NetworkDay]) -> None:
             raise ValueError(
                 f"days must be strictly increasing; {current.date} follows {previous.date}"
             )
+
+
+def fill_forward(
+    days: tuple[NetworkDay, ...] | list[NetworkDay], wanted: set[_dt.date]
+) -> tuple[NetworkDay, ...]:
+    """Synthesize missing wanted days by carrying the latest prior day forward.
+
+    Synthesized days are flagged ``filled_forward`` so allocations built on
+    them carry the flag in their audit. Dates before the first available day
+    cannot be filled and raise ``MissingDay``.
+    """
+    by_date = {d.date: d for d in days}
+    ordered = sorted(by_date)
+    unfillable = [date for date in wanted if date not in by_date and (not ordered or date < ordered[0])]
+    if unfillable:
+        raise MissingDay(unfillable)
+    merged = dict(by_date)
+    for date in sorted(wanted):
+        if date in merged:
+            continue
+        prior = max(d for d in ordered if d < date)
+        merged[date] = replace(by_date[prior], date=date, filled_forward=True)
+    return tuple(merged[d] for d in sorted(merged))
 
 
 def allocate_portfolio(

@@ -14,13 +14,13 @@ from fractions import Fraction
 
 # Plain decimal tokens only: optional sign, digits, optional fractional part.
 # No exponents, no thousands separators, no leading/trailing whitespace.
-_DECIMAL_TOKEN = re.compile(r"^[+-]?(?:\d+)(?:\.(\d+))?$")
+_DECIMAL_TOKEN = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
 
 DEFAULT_SIG_DIGITS = 6
 
 
-def parse_decimal(token: str) -> Fraction:
-    """Parse a plain decimal token into an exact Fraction.
+def split_decimal(token: str) -> tuple[Fraction, int]:
+    """Exact value and fractional digit count of a plain decimal token, from one match.
 
     Raises ValueError for anything that is not a plain decimal literal
     (exponents and thousands separators are rejected on purpose: they are
@@ -29,15 +29,23 @@ def parse_decimal(token: str) -> Fraction:
     match = _DECIMAL_TOKEN.match(token)
     if match is None:
         raise ValueError(f"not a plain decimal: {token!r}")
-    return Fraction(token)
+    sign, whole, fraction = match.groups()
+    if fraction is None:
+        value, places = Fraction(int(whole)), 0
+    else:
+        places = len(fraction)
+        value = Fraction(int(whole) * 10**places + int(fraction), 10**places)
+    return (-value if sign == "-" else value), places
+
+
+def parse_decimal(token: str) -> Fraction:
+    """Parse a plain decimal token into an exact Fraction (see ``split_decimal``)."""
+    return split_decimal(token)[0]
 
 
 def fraction_digits(token: str) -> int:
     """Number of fractional digits in a decimal token (0 if none)."""
-    match = _DECIMAL_TOKEN.match(token)
-    if match is None:
-        raise ValueError(f"not a plain decimal: {token!r}")
-    return len(match.group(1) or "")
+    return split_decimal(token)[1]
 
 
 def is_finite_decimal(value: Fraction) -> bool:

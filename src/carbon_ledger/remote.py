@@ -4,13 +4,17 @@ The endpoint shape is ``GET {base}/networks/{network_id}/days?from=...&to=...``
 returning ``{"schema_version": "1", "days": [{...}]}`` where each day object
 uses the same field names as the network CSV columns, decimals as strings.
 Fetched days are cached one file per day so any rerun over a covered range is
-served offline; ``fetch_count`` exposes how many HTTP calls were made.
+served offline; ``fetch_count`` exposes how many HTTP calls were made. Each
+cache file is written whole (temp file, then rename), and an entry that cannot
+be read back as the day it names counts as a miss, so its range is fetched
+again and the entry rewritten.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import json
+import os
 import re
 import urllib.error
 import urllib.parse
@@ -18,7 +22,7 @@ import urllib.request
 from pathlib import Path
 
 from .errors import MalformedResponse, RangeUnavailable, Unreachable
-from .ingestion import DEFAULT_COIN_DECIMALS, _RowIssue, day_from_fields, _day_fields
+from .ingestion import DEFAULT_COIN_DECIMALS, RowProblem, day_from_fields, day_to_fields
 from .model import ConsensusParams, NetworkDay
 
 
@@ -72,24 +76,28 @@ class RemoteDayClient:
             raise MalformedResponse(f"{network_id}: day entry must be an object")
         try:
             return day_from_fields(obj, self.consensus, self.coin_decimals)
-        except _RowIssue as problem:
+        except RowProblem as problem:
             column = f" column {problem.column!r}" if problem.column else ""
             raise MalformedResponse(
                 f"{network_id} day {obj.get('date')!r}{column}: {problem.reason}"
             ) from None
 
     def _read_cached(self, network_id: str, date: _dt.date) -> NetworkDay | None:
-        path = self._cache_path(network_id, date)
-        if not path.exists():
+        """The cached day, or None when its entry is missing, unreadable or invalid."""
+        try:
+            text = self._cache_path(network_id, date).read_text(encoding="utf-8")
+            day = day_from_fields(json.loads(text), self.consensus, self.coin_decimals)
+        except (OSError, ValueError, RowProblem):
             return None
-        return self._day_from_object(json.loads(path.read_text(encoding="utf-8")), network_id)
+        return day if day.date == date else None
 
     def _write_cache(self, network_id: str, day: NetworkDay) -> None:
+        """Write one day's entry whole: a temp file in the same directory, then a rename."""
         path = self._cache_path(network_id, day.date)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(_day_fields(day), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        temp.write_text(json.dumps(day_to_fields(day), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(temp, path)
 
     def _http_get(self, network_id: str, start: _dt.date, end: _dt.date) -> dict:
         query = urllib.parse.urlencode({"from": start.isoformat(), "to": end.isoformat()})

@@ -68,7 +68,7 @@ class _Handler(BaseHTTPRequestHandler):
 def index_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     server.config = {}
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield server
@@ -243,3 +243,86 @@ class TestNetworkIds:
         assert result.exit_code == 2
         assert "--network" in result.output
         assert [path for path in tmp_path.rglob("*") if path != cache.parent and path != cache] == []
+
+
+class TestCacheRecovery:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: "",
+            lambda text: "\udcff",
+            lambda text: json.dumps(["not", "a", "day"]),
+            lambda text: text.replace('"2021-01-02"', '"2021-01-03"'),
+        ],
+        ids=["truncated", "empty", "undecodable", "not-an-object", "other-date"],
+    )
+    def test_damaged_entry_is_refetched_and_rewritten(self, index_server, tmp_path, damage):
+        client = make_client(index_server, tmp_path)
+        first = client.fetch_days("bitcoin", START, END)
+        entry = tmp_path / "cache" / "bitcoin" / "2021-01-02.json"
+        intact = entry.read_text()
+        entry.write_text(damage(intact), errors="surrogateescape")
+        again = client.fetch_days("bitcoin", START, END)
+        assert client.fetch_count == 2
+        assert again == first
+        assert entry.read_text() == intact
+
+    def test_writes_leave_no_temp_files(self, index_server, tmp_path):
+        make_client(index_server, tmp_path).fetch_days("bitcoin", START, END)
+        names = sorted(path.name for path in (tmp_path / "cache" / "bitcoin").iterdir())
+        assert names == ["2021-01-01.json", "2021-01-02.json", "2021-01-03.json"]
+
+
+class TestCliExitCodes:
+    @pytest.mark.parametrize(
+        "config, code, message",
+        [
+            ({"status": 500}, 2, "HTTP 500"),
+            ({"status": 404}, 2, "not available (404)"),
+            ({"skip": {START}}, 2, "does not cover 2021-01-01"),
+            ({"body": "{not json"}, 1, "not valid JSON"),
+        ],
+        ids=["unreachable", "range-unavailable", "range-not-covered", "malformed-response"],
+    )
+    def test_allocate_remote_failure_exit_code(self, index_server, tmp_path, config, code, message):
+        from click.testing import CliRunner
+
+        from carbon_ledger.cli import main
+
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(
+            json.dumps(
+                {
+                    "schema_version": "1",
+                    "network_id": "bitcoin",
+                    "holdings": [{"entity_id": "a", "date": "2021-01-01", "amount": "1"}],
+                }
+            )
+        )
+        index_server.config.update(config)
+        result = CliRunner().invoke(
+            main,
+            [
+                "allocate",
+                "--remote",
+                f"http://127.0.0.1:{index_server.server_address[1]}",
+                "--cache-dir",
+                str(tmp_path / "cache"),
+                "--network",
+                "bitcoin",
+                "--consensus",
+                "pow",
+                "--portfolio",
+                str(portfolio),
+                "--method",
+                "holding",
+                "--from",
+                "2021-01-01",
+                "--to",
+                "2021-01-03",
+            ],
+        )
+        assert result.exit_code == code, result.output
+        assert message in result.stderr
+        assert result.stdout == ""
