@@ -11,7 +11,7 @@ whatever share of the pool no app claims stays allocated at the network level.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import engine
@@ -19,7 +19,6 @@ from .errors import NoTransactions, NotAToken, ShareOverflow
 from .model import (
     Activity,
     AllocationResult,
-    AuditTrail,
     CoinAmount,
     Consensus,
     ConsensusParams,
@@ -28,7 +27,6 @@ from .model import (
     NetworkDay,
     Share,
     TransactionRecord,
-    carbonize,
 )
 
 
@@ -80,68 +78,66 @@ def unattributed_remainder(
     return engine.transaction_pool(day, weights) * Share(1 - claimed)
 
 
-def _app_scope(scope: tuple[str, ...], app: AppDay) -> tuple[str, ...]:
-    return scope + (f"app:{app.app_id}",)
-
-
-def _app_result(
+def _app_plan(
     day: NetworkDay,
     weights: engine.MethodWeights,
     app: AppDay,
-    entity_id: str,
     method: Method,
-    activity: Activity,
-    extra_factors: tuple[tuple[str, Fraction], ...],
-    entity_share: Fraction,
-    entity_basis: str,
     scope: tuple[str, ...],
-) -> AllocationResult:
-    factors = (
-        ("transaction_weight", weights.transaction_weight.value),
-        ("app_fee_share", app.app_fee_share.value),
-    ) + extra_factors
-    audit = AuditTrail(
-        scope=_app_scope(scope, app),
-        base_wh=day.energy.wh,
-        pool_factors=factors,
-        entity_share=entity_share,
-        entity_basis=entity_basis,
-        weight_source=weights.source,
-        filled_forward=day.filled_forward,
-    )
-    energy = Energy(audit.replay_wh())
-    carbon = carbonize(energy, day.emission_factor) if day.emission_factor is not None else None
-    return AllocationResult(
-        entity_id=entity_id,
-        date=day.date,
-        method=method,
-        activity=activity,
-        energy=energy,
-        audit=audit,
-        carbon=carbon,
-    )
-
-
-def _app_transaction_share(
-    day: NetworkDay, app: AppDay, tx: TransactionRecord, kind: Consensus
-) -> tuple[str, Fraction]:
-    """Entity share of the app's own activity, on the app-scoped basis.
+    holding_factors: tuple[tuple[str, Fraction], ...] = (),
+    transaction_factors: tuple[tuple[str, Fraction], ...] = (),
+) -> engine.DayPlan:
+    """The app-day's plan: both pools are slices of the app's share of the transaction pool.
 
     The app's fee (or gas) total is derived from its declared share of the
-    network total, so the same hierarchy as network-level allocation applies
-    within the app.
+    network total, so the same basis hierarchy as network-level allocation
+    applies within the app.
     """
+    # the day's plan without weights; its pools, method and totals are replaced below
+    plan = engine.plan_day(day, None, Method.TRANSACTION_BASED, scope + (f"app:{app.app_id}",))
+    base, fee_share = day.energy.wh, app.app_fee_share.value
+    app_factors = (
+        ("transaction_weight", weights.transaction_weight.value),
+        ("app_fee_share", fee_share),
+    )
+    return replace(
+        plan,
+        method=method,
+        weight_source=weights.source,
+        holding=engine.Pool.of(base, app_factors + holding_factors),
+        transaction=engine.Pool.of(base, app_factors + transaction_factors),
+        fee_total=plan.fee_total * fee_share if plan.fee_total is not None else None,
+        gas_total=plan.gas_total * fee_share if plan.gas_total is not None else None,
+        count_total=app.app_tx_count,
+    )
+
+
+def _app_transaction_result(
+    plan: engine.DayPlan, app: AppDay, tx: TransactionRecord, kind: Consensus
+) -> AllocationResult:
+    """Entity share of the app's own activity, on the app-scoped basis."""
+    if tx.date != plan.day.date:
+        raise ValueError(f"transaction dated {tx.date} does not match day {plan.day.date}")
     if app.app_tx_count == 0:
         raise NoTransactions(
             f"{app.app_id} on {app.date}: transaction record exists but the app reports none"
         )
-    fee_total = None
-    gas_total = None
-    if day.tx_fees_total is not None:
-        fee_total = day.tx_fees_total.value * app.app_fee_share.value
-    if day.gas_total is not None:
-        gas_total = day.gas_total * app.app_fee_share.value
-    return engine.transaction_basis(tx, kind, fee_total, gas_total, app.app_tx_count)
+    basis, share = engine.transaction_basis(tx, kind, plan.fee_total, plan.gas_total, plan.count_total)
+    return plan.result(Activity.TRANSACTION, tx.entity_id, share, basis)
+
+
+def _token_result(plan: engine.DayPlan, app: AppDay, holding: TokenHolding) -> AllocationResult:
+    if holding.date != plan.day.date:
+        raise ValueError(f"token holding dated {holding.date} does not match day {plan.day.date}")
+    if app.token_supply is None:
+        raise NotAToken(f"{app.app_id} has no token supply; use transaction-based allocation")
+    if holding.amount.value > app.token_supply.value:
+        raise ShareOverflow(
+            f"{holding.entity_id}: token amount {holding.amount.value} exceeds supply "
+            f"{app.token_supply.value}"
+        )
+    share = holding.amount.value / app.token_supply.value
+    return plan.result(Activity.HOLDING, holding.entity_id, share, "token")
 
 
 def allocate_app_transaction(
@@ -154,12 +150,7 @@ def allocate_app_transaction(
     method: Method = Method.TRANSACTION_BASED,
 ) -> AllocationResult:
     """Pure transaction-based allocation of the app pool to one record."""
-    if tx.date != day.date:
-        raise ValueError(f"transaction dated {tx.date} does not match day {day.date}")
-    basis, share = _app_transaction_share(day, app, tx, params.kind)
-    return _app_result(
-        day, weights, app, tx.entity_id, method, Activity.TRANSACTION, (), share, basis, scope
-    )
+    return _app_transaction_result(_app_plan(day, weights, app, method, scope), app, tx, params.kind)
 
 
 def allocate_token_holding(
@@ -176,20 +167,8 @@ def allocate_token_holding(
     An entity holding 10% of the tokens of an app responsible for 50% of the
     network's fees bears 5% of the network transaction pool.
     """
-    if holding.date != day.date:
-        raise ValueError(f"token holding dated {holding.date} does not match day {day.date}")
-    if app.token_supply is None:
-        raise NotAToken(f"{app.app_id} has no token supply; use transaction-based allocation")
-    if holding.amount.value > app.token_supply.value:
-        raise ShareOverflow(
-            f"{holding.entity_id}: token amount {holding.amount.value} exceeds supply "
-            f"{app.token_supply.value}"
-        )
-    share = holding.amount.value / app.token_supply.value
     extra = (("app_holding_weight", holding_weight.value),) if holding_weight is not None else ()
-    return _app_result(
-        day, weights, app, holding.entity_id, method, Activity.HOLDING, extra, share, "token", scope
-    )
+    return _token_result(_app_plan(day, weights, app, method, scope, holding_factors=extra), app, holding)
 
 
 def allocate_app_hybrid(
@@ -213,39 +192,18 @@ def allocate_app_hybrid(
             raise NotAToken(
                 f"{app.app_id} has no token supply; token holdings cannot be allocated"
             )
-        return tuple(
-            allocate_app_transaction(day, weights, app, tx, params, scope) for tx in txs
-        )
-    results: list[AllocationResult] = []
-    if holding is not None:
-        results.append(
-            allocate_token_holding(
-                day,
-                weights,
-                app,
-                holding,
-                scope,
-                method=Method.HYBRID,
-                holding_weight=weights.holding_weight,
-            )
-        )
-    for tx in txs:
-        if tx.date != day.date:
-            raise ValueError(f"transaction dated {tx.date} does not match day {day.date}")
-        basis, share = _app_transaction_share(day, app, tx, params.kind)
-        results.append(
-            _app_result(
-                day,
-                weights,
-                app,
-                tx.entity_id,
-                Method.HYBRID,
-                Activity.TRANSACTION,
-                (("app_transaction_weight", weights.transaction_weight.value),),
-                share,
-                basis,
-                scope,
-            )
-        )
+        plan = _app_plan(day, weights, app, Method.TRANSACTION_BASED, scope)
+        return tuple(_app_transaction_result(plan, app, tx, params.kind) for tx in txs)
+    plan = _app_plan(
+        day,
+        weights,
+        app,
+        Method.HYBRID,
+        scope,
+        holding_factors=(("app_holding_weight", weights.holding_weight.value),),
+        transaction_factors=(("app_transaction_weight", weights.transaction_weight.value),),
+    )
+    results = [_token_result(plan, app, holding)] if holding is not None else []
+    results += [_app_transaction_result(plan, app, tx, params.kind) for tx in txs]
     results.sort(key=AllocationResult.sort_key)
     return tuple(results)

@@ -174,6 +174,8 @@ def validate(paths, network, consensus, coin_decimals, json_report):
                     )
                 )
                 continue
+            # the loaders take the decoded document, so each file is decoded once
+            decoded = ingestion.Decoded(path.name, document)
             if not isinstance(document, dict):
                 issues.append(
                     ValidationIssue(
@@ -183,11 +185,11 @@ def validate(paths, network, consensus, coin_decimals, json_report):
                     )
                 )
             elif "holdings" in document or "transactions" in document:
-                portfolio = collect(lambda: ingestion.load_portfolio_json(path, coin_decimals))
+                portfolio = collect(lambda: ingestion.load_portfolio_json(decoded, coin_decimals))
             elif "apps" in document or "token_holdings" in document:
-                bundle = collect(lambda: ingestion.load_apps_json(path, coin_decimals))
+                bundle = collect(lambda: ingestion.load_apps_json(decoded, coin_decimals))
             elif "l2s" in document:
-                l2s = collect(lambda: ingestion.load_l2_json(path, params, coin_decimals))
+                l2s = collect(lambda: ingestion.load_l2_json(decoded, params, coin_decimals))
             else:
                 issues.append(
                     ValidationIssue(
@@ -282,21 +284,7 @@ def allocate(
         )
         portfolio = ingestion.load_portfolio_json(portfolio_path, coin_decimals)
 
-        selected = portfolio
-        if start is not None or end is not None:
-            selected = type(portfolio)(
-                network_id=portfolio.network_id,
-                holdings=tuple(
-                    h
-                    for h in portfolio.holdings
-                    if (start is None or h.date >= start) and (end is None or h.date <= end)
-                ),
-                transactions=tuple(
-                    t
-                    for t in portfolio.transactions
-                    if (start is None or t.date >= start) and (end is None or t.date <= end)
-                ),
-            )
+        selected = portfolio.between(start, end)
         day_list = dataset.days
         if fill == "forward":
             day_list = engine.fill_forward(day_list, selected.dates())

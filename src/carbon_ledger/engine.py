@@ -6,6 +6,12 @@ share of that pool, multiply. PoW hybrid weights come from the day's split of
 transaction fees vs. total miner revenue; PoS hybrid weights come from the
 day's marginal transaction share. Everything is a pure function of its inputs;
 results carry a replayable audit trail.
+
+What every record of a day shares (pools, share denominators, carbon factor)
+is computed once in a ``DayPlan``; each record then costs one share and the
+plan's one result constructor. Network, app and layer-2 results all come out
+of that constructor, and the period summary sums each day's shares before
+multiplying by the day's pool.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .model import (
     AllocationResult,
     AuditTrail,
     Carbon,
-    CoinAmount,
     Consensus,
     ConsensusParams,
     Energy,
@@ -37,7 +42,6 @@ from .model import (
     Portfolio,
     Share,
     TransactionRecord,
-    carbonize,
 )
 
 NETWORK_SCOPE = ("network",)
@@ -112,49 +116,101 @@ def _require_weights(day: NetworkDay, weights: MethodWeights | None) -> MethodWe
     return weights
 
 
-def _result(
-    day: NetworkDay,
-    entity_id: str,
-    method: Method,
-    activity: Activity,
-    scope: tuple[str, ...],
-    pool_factors: tuple[tuple[str, Fraction], ...],
-    entity_share: Fraction,
-    entity_basis: str,
-    weight_source: str | None,
-) -> AllocationResult:
-    audit = AuditTrail(
-        scope=scope,
-        base_wh=day.energy.wh,
-        pool_factors=pool_factors,
-        entity_share=entity_share,
-        entity_basis=entity_basis,
-        weight_source=weight_source,
-        filled_forward=day.filled_forward,
-    )
-    energy = Energy(audit.replay_wh())
-    carbon = None
-    if day.emission_factor is not None:
-        carbon = carbonize(energy, day.emission_factor)
-    return AllocationResult(
-        entity_id=entity_id,
-        date=day.date,
-        method=method,
-        activity=activity,
-        energy=energy,
-        audit=audit,
-        carbon=carbon,
-    )
+@dataclass(frozen=True)
+class Pool:
+    """One pool: the named factors taking the base energy down to it, and its energy."""
+
+    factors: tuple[tuple[str, Fraction], ...]
+    wh: Fraction
+
+    @classmethod
+    def of(cls, base_wh: Fraction, factors: tuple[tuple[str, Fraction], ...]) -> "Pool":
+        weight = Fraction(1)
+        for _, factor in factors:
+            weight *= factor
+        return cls(factors, base_wh * weight)
 
 
-def holding_share(day: NetworkDay, amount: CoinAmount) -> Fraction:
-    """Entity share of the (lost-coin-adjusted) circulating supply."""
-    effective = day.effective_supply()
-    if amount.value > effective:
-        raise ShareOverflow(
-            f"{day.date}: holding {amount.value} exceeds effective supply {effective}"
+@dataclass(frozen=True)
+class DayPlan:
+    """What every result of one day shares, computed once for the day.
+
+    The two pools are shared by all results drawing on them (their factor
+    tuples become the audits' ``pool_factors``). ``effective_supply`` and the
+    fee, gas and count totals are the share denominators; ``carbon_per_wh``
+    is the emission factor per watt-hour, None when the day has none.
+    """
+
+    day: NetworkDay
+    method: Method
+    scope: tuple[str, ...]
+    weight_source: str | None
+    holding: Pool
+    transaction: Pool
+    effective_supply: Fraction
+    fee_total: Fraction | None
+    gas_total: Fraction | None
+    count_total: int
+    carbon_per_wh: Fraction | None
+
+    def pool(self, activity: Activity) -> Pool:
+        return self.holding if activity is Activity.HOLDING else self.transaction
+
+    def result(self, activity: Activity, entity_id: str, share: Fraction, basis: str) -> AllocationResult:
+        """The one result constructor: the entity's ``share`` of the activity's pool."""
+        day, pool = self.day, self.pool(activity)
+        energy = pool.wh * share
+        audit = AuditTrail(
+            self.scope, day.energy.wh, pool.factors, share, basis, self.weight_source, day.filled_forward
         )
-    return amount.value / effective
+        carbon = Carbon(energy * self.carbon_per_wh) if self.carbon_per_wh is not None else None
+        return AllocationResult(entity_id, day.date, self.method, activity, Energy(energy), audit, carbon)
+
+
+def plan_day(
+    day: NetworkDay,
+    weights: MethodWeights | None,
+    method: Method,
+    scope: tuple[str, ...] = NETWORK_SCOPE,
+) -> DayPlan:
+    """The day's pools and share denominators under ``method`` (hybrid needs weights)."""
+    base = day.energy.wh
+    if method is Method.HYBRID:
+        weights = _require_weights(day, weights)
+        holding = Pool.of(base, (("holding_weight", weights.holding_weight.value),))
+        transaction = Pool.of(base, (("transaction_weight", weights.transaction_weight.value),))
+        source = weights.source
+    else:
+        holding = transaction = Pool(factors=(), wh=base)
+        source = None
+    return DayPlan(
+        day=day,
+        method=method,
+        scope=scope,
+        weight_source=source,
+        holding=holding,
+        transaction=transaction,
+        effective_supply=day.effective_supply(),
+        fee_total=day.tx_fees_total.value if day.tx_fees_total is not None else None,
+        gas_total=day.gas_total,
+        count_total=day.tx_count,
+        carbon_per_wh=day.emission_factor / 1000 if day.emission_factor is not None else None,
+    )
+
+
+def _holding_result(plan: DayPlan, holding: HoldingRecord) -> AllocationResult:
+    """Entity share of the (lost-coin-adjusted) circulating supply, as a result."""
+    amount, effective = holding.amount.value, plan.effective_supply
+    if amount > effective:
+        raise ShareOverflow(f"{plan.day.date}: holding {amount} exceeds effective supply {effective}")
+    return plan.result(Activity.HOLDING, holding.entity_id, amount / effective, "holding")
+
+
+def _transaction_result(plan: DayPlan, tx: TransactionRecord, kind: Consensus) -> AllocationResult:
+    if plan.count_total == 0:
+        raise NoTransactions(f"{plan.day.date}: transaction record exists but the day reports none")
+    basis, share = transaction_basis(tx, kind, plan.fee_total, plan.gas_total, plan.count_total)
+    return plan.result(Activity.TRANSACTION, tx.entity_id, share, basis)
 
 
 def allocate_holding(
@@ -169,25 +225,7 @@ def allocate_holding(
         raise ValueError(f"holding dated {holding.date} does not match day {day.date}")
     if method not in (Method.HOLDING_BASED, Method.HYBRID):
         raise ValueError(f"holdings are not allocated under {method.value}-based accounting")
-    share = holding_share(day, holding.amount)
-    if method is Method.HYBRID:
-        weights = _require_weights(day, weights)
-        factors = (("holding_weight", weights.holding_weight.value),)
-        weight_source = weights.source
-    else:
-        factors = ()
-        weight_source = None
-    return _result(
-        day,
-        holding.entity_id,
-        method,
-        Activity.HOLDING,
-        scope,
-        factors,
-        share,
-        "holding",
-        weight_source,
-    )
+    return _holding_result(plan_day(day, weights, method, scope), holding)
 
 
 def transaction_basis(
@@ -237,33 +275,7 @@ def allocate_transaction(
         raise ValueError(f"transaction dated {tx.date} does not match day {day.date}")
     if method not in (Method.TRANSACTION_BASED, Method.HYBRID):
         raise ValueError(f"transactions are not allocated under {method.value}-based accounting")
-    if day.tx_count == 0:
-        raise NoTransactions(f"{day.date}: transaction record exists but the day reports none")
-    basis, share = transaction_basis(
-        tx,
-        params.kind,
-        day.tx_fees_total.value if day.tx_fees_total is not None else None,
-        day.gas_total,
-        day.tx_count,
-    )
-    if method is Method.HYBRID:
-        weights = _require_weights(day, weights)
-        factors = (("transaction_weight", weights.transaction_weight.value),)
-        weight_source = weights.source
-    else:
-        factors = ()
-        weight_source = None
-    return _result(
-        day,
-        tx.entity_id,
-        method,
-        Activity.TRANSACTION,
-        scope,
-        factors,
-        share,
-        basis,
-        weight_source,
-    )
+    return _transaction_result(plan_day(day, weights, method, scope), tx, params.kind)
 
 
 @dataclass(frozen=True)
@@ -301,26 +313,35 @@ class PortfolioAllocation:
     summary: PeriodSummary
 
 
-def _summarize(results: list[AllocationResult], activity: Activity) -> ActivitySummary | None:
-    subset = [r for r in results if r.activity is activity]
-    if not subset:
+def _summarize(
+    results: list[AllocationResult], plans: dict[_dt.date, DayPlan], activity: Activity
+) -> ActivitySummary | None:
+    """Period aggregate from one share sum per day: a day's energy is its pool times that sum."""
+    day_shares: dict[_dt.date, Fraction] = {}
+    count = 0
+    for r in results:
+        if r.activity is activity:
+            day_shares[r.date] = day_shares.get(r.date, 0) + r.audit.entity_share
+            count += 1
+    if not count:
         return None
-    by_day: dict[_dt.date, list[AllocationResult]] = {}
-    for r in subset:
-        by_day.setdefault(r.date, []).append(r)
-    days = len(by_day)
-    total_wh = sum((r.energy.wh for r in subset), Fraction(0))
-    pool_sum = Fraction(0)
-    share_sum = Fraction(0)
-    for day_results in by_day.values():
-        pool_sum += day_results[0].audit.pool_wh
-        share_sum += sum((r.audit.entity_share for r in day_results), Fraction(0))
+    days = len(day_shares)
+    total_wh = pool_sum = share_sum = Fraction(0)
+    carbons = []
+    for date, shares in day_shares.items():
+        plan = plans[date]
+        pool_wh = plan.pool(activity).wh
+        energy = pool_wh * shares
+        total_wh += energy
+        pool_sum += pool_wh
+        share_sum += shares
+        if plan.carbon_per_wh is not None:
+            carbons.append(energy * plan.carbon_per_wh)
     mean_pool = pool_sum / days
     mean_share = share_sum / days
-    carbons = [r.carbon.grams for r in subset if r.carbon is not None]
     return ActivitySummary(
         activity=activity,
-        result_count=len(subset),
+        result_count=count,
         days_covered=days,
         total_energy=Energy(total_wh),
         daily_mean_energy=Energy(total_wh / days),
@@ -385,29 +406,26 @@ def allocate_portfolio(
     if uncovered:
         raise MissingDay(uncovered)
 
-    weights_cache: dict[_dt.date, MethodWeights] = {}
+    plans: dict[_dt.date, DayPlan] = {}
 
-    def weights_for(day: NetworkDay) -> MethodWeights | None:
-        if method is not Method.HYBRID:
-            return None
-        if day.date not in weights_cache:
-            weights_cache[day.date] = method_weights(day, params)
-        return weights_cache[day.date]
+    def plan_for(date: _dt.date) -> DayPlan:
+        plan = plans.get(date)
+        if plan is None:
+            day = day_map[date]
+            weights = method_weights(day, params) if method is Method.HYBRID else None
+            plan = plans[date] = plan_day(day, weights, method, scope)
+        return plan
 
     results: list[AllocationResult] = []
-    if method in (Method.HOLDING_BASED, Method.HYBRID):
-        for holding in portfolio.holdings:
-            day = day_map[holding.date]
-            results.append(allocate_holding(day, weights_for(day), holding, method, scope))
-    if method in (Method.TRANSACTION_BASED, Method.HYBRID):
-        for tx in portfolio.transactions:
-            day = day_map[tx.date]
-            results.append(allocate_transaction(day, weights_for(day), tx, method, params, scope))
+    if method is not Method.TRANSACTION_BASED:
+        results += [_holding_result(plan_for(h.date), h) for h in portfolio.holdings]
+    if method is not Method.HOLDING_BASED:
+        results += [_transaction_result(plan_for(t.date), t, params.kind) for t in portfolio.transactions]
 
     results.sort(key=AllocationResult.sort_key)
     summary = PeriodSummary(
         method=method,
-        holding=_summarize(results, Activity.HOLDING),
-        transaction=_summarize(results, Activity.TRANSACTION),
+        holding=_summarize(results, plans, Activity.HOLDING),
+        transaction=_summarize(results, plans, Activity.TRANSACTION),
     )
     return PortfolioAllocation(method=method, results=tuple(results), summary=summary)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .apps import AppDay, TokenHolding
 from .errors import DatasetInvalid, SchemaMismatch, ValidationIssue
@@ -132,9 +132,14 @@ def _share(value: Any, column: str, coin_decimals: int) -> Share | None:
     return None if parsed is None else Share(parsed)
 
 
+def _is_digits(token: str) -> bool:
+    """True for a non-empty run of ASCII digits (``str.isdigit`` also takes '²' and '٣')."""
+    return token.isascii() and token.isdigit()
+
+
 def _count(value: Any, column: str, coin_decimals: int) -> int | None:
     token = _token(value, column)
-    if token is not None and not token.isdigit():
+    if token is not None and not _is_digits(token):
         raise RowProblem(column, f"not a non-negative integer: {token!r}")
     return None if token is None else int(token)
 
@@ -318,24 +323,36 @@ def _sections(document: dict[str, Any], source: str, **parsers: Callable) -> lis
     return records
 
 
-def _json_document(text: str, source: str) -> dict[str, Any]:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatch(f"{source}: not valid JSON: {exc}") from None
+class Decoded(NamedTuple):
+    """A JSON file already decoded; the ``load_*_json`` functions take it in place of its path."""
+
+    name: str
+    document: Any
+
+
+def _json_document(text: str | Any, source: str) -> dict[str, Any]:
+    """The schema-checked document of a JSON text, or of an already decoded one."""
+    document = text
+    if isinstance(text, str):
+        try:
+            document = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaMismatch(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SchemaMismatch(f"{source}: top level must be an object")
     version = document.get("schema_version")
     if not isinstance(version, str) or not version:
         raise SchemaMismatch(f"{source}: missing schema_version")
     major = version.split(".", 1)[0]
-    if not major.isdigit() or int(major) != SCHEMA_MAJOR:
+    if not _is_digits(major) or int(major) != SCHEMA_MAJOR:
         raise SchemaMismatch(f"{source}: unsupported schema_version {version!r}")
     return document
 
 
-def _read(path: str | Path) -> tuple[str, str]:
-    """A file's text and its name, the source its issues are reported under."""
+def _read(path: str | Path | Decoded) -> tuple[Any, str]:
+    """A file's text (a ``Decoded`` file's document) and its name, the source of its issues."""
+    if isinstance(path, Decoded):
+        return path.document, path.name
     path = Path(path)
     return path.read_text(encoding="utf-8"), path.name
 
@@ -431,7 +448,7 @@ def parse_portfolio_json(text: str, source: str, coin_decimals: int = DEFAULT_CO
     return Portfolio(network_id, tuple(holdings), tuple(transactions))
 
 
-def load_portfolio_json(path: str | Path, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> Portfolio:
+def load_portfolio_json(path: str | Path | Decoded, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> Portfolio:
     return parse_portfolio_json(*_read(path), coin_decimals)
 
 
@@ -453,7 +470,7 @@ def parse_apps_json(text: str, source: str, coin_decimals: int = DEFAULT_COIN_DE
     return AppBundle(tuple(apps), tuple(token_holdings))
 
 
-def load_apps_json(path: str | Path, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> AppBundle:
+def load_apps_json(path: str | Path | Decoded, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> AppBundle:
     return parse_apps_json(*_read(path), coin_decimals)
 
 
@@ -492,7 +509,7 @@ def parse_l2_json(
 
 
 def load_l2_json(
-    path: str | Path, host_consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
+    path: str | Path | Decoded, host_consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> L2Bundle:
     return parse_l2_json(*_read(path), host_consensus, coin_decimals)
 
@@ -544,7 +561,7 @@ def join_issues(
         if portfolio.network_id != dataset.network_id:
             reason = f"portfolio is for {portfolio.network_id!r}, dataset is {dataset.network_id!r}"
             join_issue("portfolio", reason, "network_id")
-        # the bound engine.holding_share enforces, computed once per day
+        # the bound the engine's holding share enforces, computed once per day
         effective_supply = {date: day.effective_supply() for date, day in day_map.items()}
         for holding in portfolio.holdings:
             supply = effective_supply.get(holding.date)

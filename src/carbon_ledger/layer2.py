@@ -13,15 +13,7 @@ import datetime as _dt
 from dataclasses import dataclass, replace
 
 from . import engine
-from .model import (
-    AllocationResult,
-    ConsensusParams,
-    Energy,
-    Method,
-    NetworkDay,
-    Portfolio,
-    Share,
-)
+from .model import AllocationResult, ConsensusParams, Energy, Method, NetworkDay, Portfolio, Share
 
 
 @dataclass(frozen=True)
@@ -77,24 +69,11 @@ def allocate_within_l2(
 ) -> tuple[AllocationResult, ...]:
     """Re-run hybrid (or pure) allocation inside the L2 over its total footprint.
 
-    Delegates to the allocation engine on a synthetic day, so every engine
-    property (conservation, boundaries, linearity) carries over; the audit
-    scope gains an ``l2:<id>`` element marking the provenance.
+    This is ``allocate_portfolio`` on the one synthetic day, over the
+    portfolio's records of that day, so every engine property (conservation,
+    boundaries, linearity) carries over; the audit scope gains an ``l2:<id>``
+    element marking the provenance.
     """
     day = synthetic_day(total, l2)
-    l2_scope = scope + (f"l2:{l2.l2_id}",)
-    weights = engine.method_weights(day, l2_params) if method is Method.HYBRID else None
-
-    results: list[AllocationResult] = []
-    if method in (Method.HOLDING_BASED, Method.HYBRID):
-        for holding in portfolio.holdings:
-            if holding.date == day.date:
-                results.append(engine.allocate_holding(day, weights, holding, method, l2_scope))
-    if method in (Method.TRANSACTION_BASED, Method.HYBRID):
-        for tx in portfolio.transactions:
-            if tx.date == day.date:
-                results.append(
-                    engine.allocate_transaction(day, weights, tx, method, l2_params, l2_scope)
-                )
-    results.sort(key=AllocationResult.sort_key)
-    return tuple(results)
+    on_day = portfolio.between(day.date, day.date)
+    return engine.allocate_portfolio((day,), l2_params, on_day, method, scope + (f"l2:{l2.l2_id}",)).results

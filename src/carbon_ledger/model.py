@@ -287,6 +287,15 @@ class Portfolio:
     def dates(self) -> set[_dt.date]:
         return {r.date for r in self.holdings} | {r.date for r in self.transactions}
 
+    def between(self, start: _dt.date | None, end: _dt.date | None) -> "Portfolio":
+        """The records dated from ``start`` to ``end`` inclusive; None leaves a side open."""
+
+        def within(record) -> bool:
+            return (start is None or record.date >= start) and (end is None or record.date <= end)
+
+        holdings, transactions = filter(within, self.holdings), filter(within, self.transactions)
+        return Portfolio(self.network_id, tuple(holdings), tuple(transactions))
+
 
 @dataclass(frozen=True)
 class AuditTrail:

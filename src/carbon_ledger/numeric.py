@@ -12,9 +12,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-# Plain decimal tokens only: optional sign, digits, optional fractional part.
-# No exponents, no thousands separators, no leading/trailing whitespace.
-_DECIMAL_TOKEN = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
+# Plain decimal tokens only: optional sign, ASCII digits, optional fractional
+# part. No exponents, no thousands separators, no other scripts' digits, no
+# leading/trailing whitespace (matched with fullmatch: ``$`` would also accept
+# a trailing newline).
+_DECIMAL_TOKEN = re.compile(r"([+-]?)(\d+)(?:\.(\d+))?", re.ASCII)
 
 DEFAULT_SIG_DIGITS = 6
 
@@ -26,7 +28,7 @@ def split_decimal(token: str) -> tuple[Fraction, int]:
     (exponents and thousands separators are rejected on purpose: they are
     the formats that silently lose precision elsewhere).
     """
-    match = _DECIMAL_TOKEN.match(token)
+    match = _DECIMAL_TOKEN.fullmatch(token)
     if match is None:
         raise ValueError(f"not a plain decimal: {token!r}")
     sign, whole, fraction = match.groups()

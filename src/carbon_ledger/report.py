@@ -14,12 +14,14 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from . import engine
 from .ingestion import Dataset
 from .model import (
     Activity,
     AllocationResult,
+    AuditTrail,
     Carbon,
     CoinAmount,
     Energy,
@@ -300,28 +302,42 @@ _RESULT_COLUMNS = (
 )
 
 
-def _result_cells(result: AllocationResult, sig_digits: int, with_carbon: bool) -> list[str]:
-    audit = result.audit
-    carbon = result.carbon if with_carbon else None
-    # pool_weight rebuilds the factor product on every access; read it once
-    pool_weight = audit.pool_weight
-    return [
-        result.date.isoformat(),
-        result.entity_id,
-        result.method.value,
-        result.activity.value,
-        format_sig(result.energy.wh, sig_digits),
-        format_sig(result.energy.value_in("kWh"), sig_digits),
-        format_sig(carbon.grams, sig_digits) if carbon is not None else "",
-        format_sig(audit.base_wh, sig_digits),
-        format_sig(pool_weight, sig_digits),
-        format_sig(audit.base_wh * pool_weight, sig_digits),
-        format_sig(audit.entity_share, sig_digits),
-        audit.entity_basis,
-        audit.weight_source or "",
-        "/".join(audit.scope),
-        "true" if audit.filled_forward else "false",
-    ]
+def _result_rows(
+    results: Iterable[AllocationResult], sig_digits: int, with_carbon: bool
+) -> Iterator[tuple[AllocationResult, list[str]]]:
+    """Each result with its cells; the three per-pool cells are rendered once per pool.
+
+    Results of one pool share its base and factor objects, so those cells are
+    memoized by identity (a value key would cost a Fraction hash per row); the
+    memo keeps the audit it was built from, so the ids stay valid.
+    """
+    pool_cells: dict[tuple[int, int], tuple[AuditTrail, list[str]]] = {}
+    for result in results:
+        audit = result.audit
+        carbon = result.carbon if with_carbon else None
+        key = (id(audit.base_wh), id(audit.pool_factors))
+        if key not in pool_cells:
+            pool_weight = audit.pool_weight
+            pool_cells[key] = audit, [
+                format_sig(audit.base_wh, sig_digits),
+                format_sig(pool_weight, sig_digits),
+                format_sig(audit.base_wh * pool_weight, sig_digits),
+            ]
+        yield result, [
+            result.date.isoformat(),
+            result.entity_id,
+            result.method.value,
+            result.activity.value,
+            format_sig(result.energy.wh, sig_digits),
+            format_sig(result.energy.value_in("kWh"), sig_digits),
+            format_sig(carbon.grams, sig_digits) if carbon is not None else "",
+            *pool_cells[key][1],
+            format_sig(audit.entity_share, sig_digits),
+            audit.entity_basis,
+            audit.weight_source or "",
+            "/".join(audit.scope),
+            "true" if audit.filled_forward else "false",
+        ]
 
 
 def results_to_csv(
@@ -330,8 +346,7 @@ def results_to_csv(
     with_carbon: bool = True,
 ) -> str:
     lines = [",".join(_RESULT_COLUMNS)]
-    for result in results:
-        lines.append(",".join(_result_cells(result, sig_digits, with_carbon)))
+    lines += [",".join(cells) for _, cells in _result_rows(results, sig_digits, with_carbon)]
     return "\n".join(lines) + "\n"
 
 
@@ -372,8 +387,7 @@ def allocation_to_json_obj(
     with_carbon: bool = True,
 ) -> dict:
     results = []
-    for result in allocation.results:
-        cells = _result_cells(result, sig_digits, with_carbon)
+    for result, cells in _result_rows(allocation.results, sig_digits, with_carbon):
         entry = dict(zip(_RESULT_COLUMNS, cells))
         entry["carbon_g"] = entry["carbon_g"] or None
         entry["weight_source"] = entry["weight_source"] or None
