@@ -30,7 +30,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppDay:
     """One day of telemetry for a layer-1 application.
 
@@ -49,11 +49,11 @@ class AppDay:
     def __post_init__(self):
         if self.app_tx_count < 0:
             raise ValueError("app_tx_count must be >= 0")
-        if self.token_supply is not None and self.token_supply.value <= 0:
+        if self.token_supply is not None and self.token_supply.value.numerator <= 0:
             raise ValueError("token_supply must be > 0 when present")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenHolding:
     """An entity's average token balance in one app over one UTC day."""
 
@@ -93,6 +93,7 @@ def _app_plan(
     network total, so the same basis hierarchy as network-level allocation
     applies within the app.
     """
+    engine.require_weights(day, weights)
     # the day's plan without weights; its pools, method and totals are replaced below
     plan = engine.plan_day(day, None, Method.TRANSACTION_BASED, scope + (f"app:{app.app_id}",))
     base, fee_share = day.energy.wh, app.app_fee_share.value

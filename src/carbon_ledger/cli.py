@@ -49,7 +49,7 @@ def _date(value: str | None, flag: str) -> _dt.date | None:
     if value is None:
         return None
     try:
-        return _dt.date.fromisoformat(value)
+        return ingestion.parse_date(value)
     except ValueError:
         raise _Failure(EXIT_IO, f"{flag}: not an ISO-8601 date: {value!r}") from None
 
@@ -166,7 +166,8 @@ def validate(paths, network, consensus, coin_decimals, json_report):
                 )
                 continue
             try:
-                document = json.loads(path.read_text(encoding="utf-8"))
+                with ingestion.bulk():
+                    document = json.loads(path.read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
                 issues.append(
                     ValidationIssue(

@@ -108,7 +108,8 @@ def transaction_pool(day: NetworkDay, weights: MethodWeights) -> Energy:
     return day.energy * weights.transaction_weight
 
 
-def _require_weights(day: NetworkDay, weights: MethodWeights | None) -> MethodWeights:
+def require_weights(day: NetworkDay, weights: MethodWeights | None) -> MethodWeights:
+    """The weights, once they are present and computed for ``day``; ValueError otherwise."""
     if weights is None:
         raise ValueError("hybrid allocation requires method weights")
     if weights.date != day.date:
@@ -176,7 +177,7 @@ def plan_day(
     """The day's pools and share denominators under ``method`` (hybrid needs weights)."""
     base = day.energy.wh
     if method is Method.HYBRID:
-        weights = _require_weights(day, weights)
+        weights = require_weights(day, weights)
         holding = Pool.of(base, (("holding_weight", weights.holding_weight.value),))
         transaction = Pool.of(base, (("transaction_weight", weights.transaction_weight.value),))
         source = weights.source

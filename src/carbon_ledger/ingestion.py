@@ -8,17 +8,25 @@ canonical form (sorted rows, normalized decimals), so load/serialize
 round-trips are byte-identical by construction. Parsing is exact (no float
 round-trip anywhere) and validation reports every invalid row's first
 problem, rather than stopping at the first bad row.
+
+Documents are decoded and their records built inside ``bulk()``, with the
+cyclic garbage collector paused: those objects hold no cycles, and each
+full collection would otherwise rescan every record built so far.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import functools
+import gc
 import json
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .apps import AppDay, TokenHolding
 from .errors import DatasetInvalid, SchemaMismatch, ValidationIssue
@@ -80,6 +88,42 @@ class RowProblem(Exception):
         super().__init__(reason)
 
 
+@contextmanager
+def bulk() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a document is decoded or its records built.
+
+    Those objects are acyclic, so a collection would free none of them while
+    rescanning them all. The collector is re-enabled on exit, also on error,
+    and only if it was on at entry: nested use and a caller's own
+    ``gc.disable()`` are kept.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# Exactly YYYY-MM-DD in ASCII digits: on Python 3.11+ ``date.fromisoformat``
+# also reads ``20210101`` and week dates such as ``2021-W01-5``, which would
+# not serialize back to the text they were read from.
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
+@functools.lru_cache(maxsize=4096)
+def parse_date(token: str) -> _dt.date:
+    """The calendar date of a ``YYYY-MM-DD`` token; ValueError for anything else.
+
+    Memoised, with a bound: records repeat their dates (a year of records has
+    365 distinct ones).
+    """
+    if _ISO_DATE.fullmatch(token) is None:
+        raise ValueError(f"not an ISO-8601 date: {token!r}")
+    return _dt.date.fromisoformat(token)
+
+
 # Cell parsers: a JSON or CSV cell in, a record value (None when absent) out.
 
 
@@ -100,8 +144,9 @@ def _token(value: Any, column: str) -> str | None:
 
 def _decimal(value: Any, column: str, coin_decimals: int | None = None) -> Fraction | None:
     """A non-negative decimal; with ``coin_decimals``, no finer than the smallest coin unit."""
-    token = _token(value, column)
-    if token is None:
+    if isinstance(value, str) and value:
+        token = value
+    elif (token := _token(value, column)) is None:
         return None
     try:
         parsed, places = split_decimal(token)
@@ -127,7 +172,7 @@ def _energy(value: Any, column: str, coin_decimals: int) -> Energy | None:
 
 def _share(value: Any, column: str, coin_decimals: int) -> Share | None:
     parsed = _decimal(value, column)
-    if parsed is not None and parsed > 1:
+    if parsed is not None and parsed.numerator > parsed.denominator:
         raise RowProblem(column, f"must be within [0, 1], got {parsed}")
     return None if parsed is None else Share(parsed)
 
@@ -147,7 +192,7 @@ def _count(value: Any, column: str, coin_decimals: int) -> int | None:
 def _date(value: Any, column: str, coin_decimals: int) -> _dt.date | None:
     token = _token(value, column)
     try:
-        return None if token is None else _dt.date.fromisoformat(token)
+        return None if token is None else parse_date(token)
     except ValueError:
         raise RowProblem(column, f"not an ISO-8601 date: {token!r}") from None
 
@@ -168,29 +213,25 @@ _SHARE = (_share, lambda share: decimal_str(share.value))
 _COUNT = (_count, int)
 
 
-class _Column:
-    """One column: its JSON key or CSV header, cell kind, and what absence means.
+class _Column(NamedTuple):
+    """One column: its JSON key or CSV header, record attribute, cell kind, and what absence means.
 
     An absent cell is a problem when ``required`` and reads as ``default``
     otherwise; a value equal to ``default`` is written back as absent.
     ``bound`` is a (predicate, reason) check on a present value.
     """
 
-    __slots__ = ("name", "parse", "render", "required", "attr", "default", "bound")
+    name: str
+    attr: str
+    parse: Callable
+    render: Callable
+    required: bool
+    default: Any
+    bound: tuple[Callable, str] | None
 
-    def __init__(self, name, kind, required=False, *, attr=None, default=None, bound=None):
-        self.name, (self.parse, self.render), self.required = name, kind, required
-        self.attr, self.default, self.bound = attr or name, default, bound
 
-    def read(self, row: Mapping[str, Any], coin_decimals: int) -> Any:
-        value = self.parse(row.get(self.name), self.name, coin_decimals)
-        if value is None:
-            if self.required:
-                raise RowProblem(self.name, "value required")
-            return self.default
-        if self.bound is not None and not self.bound[0](value):
-            raise RowProblem(self.name, self.bound[1])
-        return value
+def _column(name, kind, required=False, *, attr=None, default=None, bound=None) -> _Column:
+    return _Column(name, attr or name, *kind, required, default, bound)
 
 
 class _Spec:
@@ -207,15 +248,27 @@ class _Spec:
         self.sort_key = attrgetter(*order)
 
     def read(self, row: Any, coin_decimals: int, seen: set[tuple] | None = None) -> dict[str, Any]:
-        """A row's record values by attribute; raises RowProblem at its first problem."""
+        """A row's record values by attribute; raises RowProblem at its first problem.
+
+        Runs once per cell of every record, so each column's absence, default
+        and bound are handled here inline.
+        """
         if not isinstance(row, dict):
             raise RowProblem(None, f"{self.noun} must be an object")
         values: dict[str, Any] = {}
-        for index, column in enumerate(self.columns):
-            if index == self.key and seen and (key := tuple(values.values())) in seen:
+        cell, key_index = row.get, self.key
+        for index, (name, attr, parse, _, required, default, bound) in enumerate(self.columns):
+            if index == key_index and seen and (key := tuple(values.values())) in seen:
                 reason = f"duplicate {self.duplicate} {' '.join(map(str, key))}"
                 raise RowProblem("date", reason, "duplicate_date")
-            values[column.attr] = column.read(row, coin_decimals)
+            value = parse(cell(name), name, coin_decimals)
+            if value is None:
+                if required:
+                    raise RowProblem(name, "value required")
+                value = default
+            elif bound is not None and not bound[0](value):
+                raise RowProblem(name, bound[1])
+            values[attr] = value
         return values
 
     def fields(self, record: Any) -> dict[str, Any]:
@@ -231,68 +284,73 @@ class _Spec:
         return [self.fields(record) for record in sorted(records, key=self.sort_key)]
 
 
+def _nonzero(coins: CoinAmount) -> bool:
+    return coins.value.numerator != 0
+
+
 _DAY = _Spec(
     "network day",
     (
-        _Column("date", _DATE, True),
-        _Column("energy_wh", _ENERGY, True, attr="energy"),
-        _Column("block_reward", _COIN),
-        _Column("tx_fees_total", _COIN),
-        _Column("coin_supply", _COIN, True, bound=(lambda coins: coins.value != 0, "must be > 0")),
-        _Column(
-            "lost_coin_fraction", _SHARE, default=Share(0), bound=(lambda lost: lost.value < 1, "must be < 1")
+        _column("date", _DATE, True),
+        _column("energy_wh", _ENERGY, True, attr="energy"),
+        _column("block_reward", _COIN),
+        _column("tx_fees_total", _COIN),
+        _column("coin_supply", _COIN, True, bound=(_nonzero, "must be > 0")),
+        _column(
+            "lost_coin_fraction",
+            _SHARE,
+            default=Share(0),
+            bound=(lambda lost: lost.value.numerator < lost.value.denominator, "must be < 1"),
         ),
-        _Column("tx_count", _COUNT, True),
-        _Column("gas_total", _DECIMAL),
-        _Column("pos_tx_share", _SHARE),
-        _Column("emission_factor_g_per_kwh", _DECIMAL, attr="emission_factor"),
+        _column("tx_count", _COUNT, True),
+        _column("gas_total", _DECIMAL),
+        _column("pos_tx_share", _SHARE),
+        _column("emission_factor_g_per_kwh", _DECIMAL, attr="emission_factor"),
     ),
     order=("date",), key=1, duplicate="date",
 )
 _HOLDING = _Spec(
     "holding",
-    (_Column("amount", _COIN, True), _Column("entity_id", _ID), _Column("date", _DATE, True)),
+    (_column("amount", _COIN, True), _column("entity_id", _ID), _column("date", _DATE, True)),
     order=("date", "entity_id"),
 )
 _TRANSACTION = _Spec(
     "transaction",
     (
-        _Column("fee_paid", _COIN),
-        _Column("gas_used", _DECIMAL),
-        _Column("tx_count", _COUNT, bound=(lambda count: count != 0, "must be a positive count")),
-        _Column("entity_id", _ID),
-        _Column("date", _DATE, True),
+        _column("fee_paid", _COIN),
+        _column("gas_used", _DECIMAL),
+        _column("tx_count", _COUNT, bound=(lambda count: count != 0, "must be a positive count")),
+        _column("entity_id", _ID),
+        _column("date", _DATE, True),
     ),
     order=("date", "entity_id"),
 )
 _APP = _Spec(
     "app",
     (
-        _Column("app_id", _ID), _Column("date", _DATE, True),
-        _Column("app_fee_share", _SHARE, True),
-        _Column(
-            "token_supply", _COIN, bound=(lambda coins: coins.value != 0, "must be > 0 when present")
-        ),
-        _Column("app_tx_count", _COUNT, True),
+        _column("app_id", _ID), _column("date", _DATE, True),
+        _column("app_fee_share", _SHARE, True),
+        _column("token_supply", _COIN, bound=(_nonzero, "must be > 0 when present")),
+        _column("app_tx_count", _COUNT, True),
     ),
     order=("date", "app_id"), key=2, duplicate="app day",
 )
 _TOKEN_HOLDING = _Spec(
     "token holding",
     (
-        _Column("amount", _COIN, True),
-        _Column("entity_id", _ID),
-        _Column("app_id", _ID),
-        _Column("date", _DATE, True),
+        _column("amount", _COIN, True),
+        _column("entity_id", _ID),
+        _column("app_id", _ID),
+        _column("date", _DATE, True),
     ),
     order=("date", "app_id", "entity_id"),
 )
 _L2 = _Spec(
     "layer-2 entry",
     (
-        _Column("l2_id", _ID), _Column("date", _DATE, True),
-        _Column("l1_fee_share", _SHARE, True),
-        _Column("infra_energy_wh", _ENERGY, True, attr="infra_energy"),
+        _column("l2_id", _ID), _column("date", _DATE, True),
+        _column("l1_fee_share", _SHARE, True),
+        _column("infra_energy_wh", _ENERGY, True, attr="infra_energy"),
     ),
     order=("date", "l2_id"), key=2, duplicate="layer-2 day",
 )
@@ -303,11 +361,13 @@ NETWORK_CSV_COLUMNS = _DAY.names
 def _collect(source: str, rows: Iterable[tuple[int, Any]], parse: Callable, issues: list) -> list:
     """The one row loop: parse each numbered row; a problem becomes that row's issue."""
     records = []
-    for row_no, row in rows:
-        try:
-            records.append(parse(row))
-        except RowProblem as problem:
-            issues.append(ValidationIssue(source, problem.code, problem.reason, row_no, problem.column))
+    with bulk():
+        for row_no, row in rows:
+            try:
+                records.append(parse(row))
+            except RowProblem as problem:
+                issue = ValidationIssue(source, problem.code, problem.reason, row_no, problem.column)
+                issues.append(issue)
     return records
 
 
@@ -335,7 +395,8 @@ def _json_document(text: str | Any, source: str) -> dict[str, Any]:
     document = text
     if isinstance(text, str):
         try:
-            document = json.loads(text)
+            with bulk():
+                document = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaMismatch(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(document, dict):

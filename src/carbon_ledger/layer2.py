@@ -16,7 +16,7 @@ from . import engine
 from .model import AllocationResult, ConsensusParams, Energy, Method, NetworkDay, Portfolio, Share
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Layer2Day:
     """One day of a layer-2 network: its layer-1 footprint plus its own.
 

@@ -5,8 +5,12 @@ Design rules that everything below follows:
 * Internal energy unit is watt-hours; carbon is grams CO2e. Display
   conversions happen at serialization, never mid-computation.
 * Every quantity is an exact rational (see ``numeric``). Constructors
-  validate range invariants and reject anything out of domain.
-* All types are immutable values, safe to share across concurrent tasks.
+  validate range invariants and reject anything out of domain; each check
+  compares integers (a Fraction's numerator and denominator), since a
+  Fraction comparison costs several Python calls and ingestion builds
+  hundreds of thousands of these values.
+* All types are immutable values, safe to share across concurrent tasks,
+  and slotted: no per-instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -59,15 +63,16 @@ class ConsensusParams:
     kind: Consensus
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Energy:
     """Non-negative electricity quantity, stored exactly in watt-hours."""
 
     wh: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "wh", _as_fraction(self.wh))
-        if self.wh < 0:
+        if not isinstance(self.wh, Fraction):
+            object.__setattr__(self, "wh", _as_fraction(self.wh))
+        if self.wh.numerator < 0:
             raise ValueError(f"energy must be >= 0, got {self.wh}")
 
     @classmethod
@@ -103,15 +108,16 @@ def convert_energy(energy: Energy, unit: str, sig_digits: int = DEFAULT_SIG_DIGI
     return format_sig(energy.value_in(unit), sig_digits)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Carbon:
     """Non-negative mass of CO2-equivalent, in grams."""
 
     grams: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "grams", _as_fraction(self.grams))
-        if self.grams < 0:
+        if not isinstance(self.grams, Fraction):
+            object.__setattr__(self, "grams", _as_fraction(self.grams))
+        if self.grams.numerator < 0:
             raise ValueError(f"carbon must be >= 0, got {self.grams}")
 
     def __add__(self, other: "Carbon") -> "Carbon":
@@ -133,30 +139,32 @@ def carbonize(energy: Energy, factor_g_per_kwh: Numeric) -> Carbon:
     return Carbon(energy.wh / 1000 * factor)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Share:
     """Exact fraction in [0, 1]; the unit of all weights and pool shares."""
 
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _as_fraction(self.value))
-        if not 0 <= self.value <= 1:
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", _as_fraction(self.value))
+        if not 0 <= self.value.numerator <= self.value.denominator:
             raise ValueError(f"share must be within [0, 1], got {self.value}")
 
     def complement(self) -> "Share":
         return Share(1 - self.value)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CoinAmount:
     """Non-negative coin quantity in the network's native unit."""
 
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _as_fraction(self.value))
-        if self.value < 0:
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", _as_fraction(self.value))
+        if self.value.numerator < 0:
             raise ValueError(f"coin amount must be >= 0, got {self.value}")
 
 
@@ -175,7 +183,7 @@ class Activity(Enum):
     TRANSACTION = "transaction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkDay:
     """One UTC calendar day of validated network telemetry.
 
@@ -199,20 +207,21 @@ class NetworkDay:
     filled_forward: bool = False
 
     def __post_init__(self):
-        if self.coin_supply.value <= 0:
+        if self.coin_supply.value.numerator <= 0:
             raise ValueError("coin_supply must be > 0")
         if self.tx_count < 0:
             raise ValueError("tx_count must be >= 0")
-        if self.gas_total is not None and self.gas_total < 0:
+        if self.gas_total is not None and self.gas_total.numerator < 0:
             raise ValueError("gas_total must be >= 0")
-        if self.emission_factor is not None and self.emission_factor < 0:
+        if self.emission_factor is not None and self.emission_factor.numerator < 0:
             raise ValueError("emission_factor must be >= 0")
-        if self.lost_coin_fraction.value >= 1:
+        lost = self.lost_coin_fraction.value
+        if lost.numerator >= lost.denominator:
             raise ValueError("lost_coin_fraction must be < 1")
         if self.tx_count == 0:
-            if self.tx_fees_total is not None and self.tx_fees_total.value != 0:
+            if self.tx_fees_total is not None and self.tx_fees_total.value.numerator != 0:
                 raise ValueError("tx_fees_total must be 0 on a day with no transactions")
-            if self.gas_total is not None and self.gas_total != 0:
+            if self.gas_total is not None and self.gas_total.numerator != 0:
                 raise ValueError("gas_total must be 0 on a day with no transactions")
 
     def consensus_problems(self, kind: Consensus) -> list[tuple[str, str]]:
@@ -243,7 +252,7 @@ class NetworkDay:
         return self.coin_supply.value * (1 - self.lost_coin_fraction.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HoldingRecord:
     """An entity's average balance on a network over one UTC day."""
 
@@ -252,7 +261,7 @@ class HoldingRecord:
     amount: CoinAmount
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionRecord:
     """An entity's transaction activity on one UTC day.
 
@@ -270,13 +279,13 @@ class TransactionRecord:
     def __post_init__(self):
         if self.fee_paid is None and self.gas_used is None and self.tx_count is None:
             raise ValueError("at least one of fee_paid, gas_used, tx_count required")
-        if self.gas_used is not None and self.gas_used < 0:
+        if self.gas_used is not None and self.gas_used.numerator < 0:
             raise ValueError("gas_used must be >= 0")
         if self.tx_count is not None and self.tx_count <= 0:
             raise ValueError("tx_count must be a positive count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Portfolio:
     """Dated holdings and transactions of entities on one network."""
 
@@ -297,7 +306,7 @@ class Portfolio:
         return Portfolio(self.network_id, tuple(holdings), tuple(transactions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditTrail:
     """Replayable multiplication chain behind one allocation.
 
@@ -333,7 +342,7 @@ class AuditTrail:
         return self.pool_wh * self.entity_share
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllocationResult:
     """Energy (and optionally carbon) attributed to one entity-day cell."""
 

@@ -33,11 +33,10 @@ def split_decimal(token: str) -> tuple[Fraction, int]:
         raise ValueError(f"not a plain decimal: {token!r}")
     sign, whole, fraction = match.groups()
     if fraction is None:
-        value, places = Fraction(int(whole)), 0
-    else:
-        places = len(fraction)
-        value = Fraction(int(whole) * 10**places + int(fraction), 10**places)
-    return (-value if sign == "-" else value), places
+        return Fraction(int(sign + whole)), 0
+    # the digits with the point removed, read by one int(), are the value times 10**places
+    places = len(fraction)
+    return Fraction(int(sign + whole + fraction), 10**places), places
 
 
 def parse_decimal(token: str) -> Fraction:

@@ -16,9 +16,7 @@ import datetime as _dt
 import json
 import os
 import re
-import urllib.error
 import urllib.parse
-import urllib.request
 from pathlib import Path
 
 from .errors import MalformedResponse, RangeUnavailable, Unreachable
@@ -100,6 +98,11 @@ class RemoteDayClient:
         os.replace(temp, path)
 
     def _http_get(self, network_id: str, start: _dt.date, end: _dt.date) -> dict:
+        # imported here: the HTTP stack (http.client, ssl, email) costs tens of
+        # milliseconds to import, and warm-cache and --days runs never use it
+        import urllib.error
+        import urllib.request
+
         query = urllib.parse.urlencode({"from": start.isoformat(), "to": end.isoformat()})
         url = f"{self.base_url}/networks/{urllib.parse.quote(network_id)}/days?{query}"
         self.fetch_count += 1

@@ -225,3 +225,22 @@ class TestAppHybrid:
         result = allocate_token_holding(btc_day, weights, app, holding)
         assert result.audit.scope == ("network", "app:uniswap")
         assert result.audit.replay_wh() == result.energy.wh
+
+
+class TestWeightsDate:
+    """Every app route refuses another day's weights, with network allocation's error."""
+
+    @pytest.mark.parametrize("route", ["transaction", "token", "hybrid", "hybrid_without_token"])
+    def test_other_day_weights_rejected(self, btc_day, route):
+        other = method_weights(pow_day(date=D1 + dt.timedelta(days=1)), POW)
+        app, tokenless = make_app(supply="1000"), make_app(supply=None)
+        tx = TransactionRecord("bob", D1, tx_count=1)
+        holding = TokenHolding("alice", "uniswap", D1, CoinAmount(frac("1")))
+        calls = {
+            "transaction": lambda: allocate_app_transaction(btc_day, other, app, tx, POW),
+            "token": lambda: allocate_token_holding(btc_day, other, app, holding),
+            "hybrid": lambda: allocate_app_hybrid(btc_day, other, app, holding, (tx,), POW),
+            "hybrid_without_token": lambda: allocate_app_hybrid(btc_day, other, tokenless, None, (tx,), POW),
+        }
+        with pytest.raises(ValueError, match=r"^weights are for 2021-01-02, day is 2021-01-01$"):
+            calls[route]()

@@ -2,12 +2,17 @@
 
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+import carbon_ledger
 from carbon_ledger import MalformedResponse, RangeUnavailable, RemoteDayClient, Unreachable
 from conftest import POW
 
@@ -326,3 +331,12 @@ class TestCliExitCodes:
         assert result.exit_code == code, result.output
         assert message in result.stderr
         assert result.stdout == ""
+
+
+def test_cli_import_leaves_http_stack_unloaded():
+    # warm-cache and --days runs never make a request, so they never pay for the HTTP stack
+    src = str(Path(carbon_ledger.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, carbon_ledger.cli; print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout == "[]\n"

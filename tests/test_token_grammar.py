@@ -4,6 +4,7 @@ Each rejected token must surface as a row-addressed issue (or a schema
 mismatch), never as a bare ``int()`` traceback or a silently accepted value.
 """
 
+import datetime as dt
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 
 from carbon_ledger.cli import main
 from carbon_ledger.errors import DatasetInvalid, SchemaMismatch
-from carbon_ledger.ingestion import NETWORK_CSV_COLUMNS, parse_portfolio_json
+from carbon_ledger.ingestion import NETWORK_CSV_COLUMNS, parse_date, parse_portfolio_json
 from carbon_ledger.numeric import fraction_digits, parse_decimal, split_decimal
 
 NON_ASCII_OR_TRAILING = ["5\n", "5\r\n", "٣.٥", "٣", "²", "1.²", "５"]
@@ -100,3 +101,59 @@ def test_cli_portfolio_amount_is_row_addressed(tmp_path, token):
     assert issue["source"] == "portfolio.json:holdings"
     assert (issue["row"], issue["column"]) == (1, "amount")
     assert issue["reason"] == f"not a plain decimal: {token!r}"
+
+
+# Python 3.11+ ``date.fromisoformat`` reads the first two as 2021-01-01 and
+# 2021-01-08; none of them would serialize back to the text read.
+NOT_CALENDAR_DATES = ["20210101", "2021-W01-5", "2021-001", "2021-1-01", "٢٠٢١-٠١-٠١", "2021-01-01\n", "2021-02-30"]
+
+
+def test_parse_date_reads_yyyy_mm_dd():
+    assert parse_date("2021-01-08") == dt.date(2021, 1, 8)
+
+
+@pytest.mark.parametrize("token", NOT_CALENDAR_DATES)
+def test_parse_date_rejects(token):
+    with pytest.raises(ValueError):
+        parse_date(token)
+
+
+@pytest.mark.parametrize("token", NOT_CALENDAR_DATES)
+def test_portfolio_date_becomes_row_issue(token):
+    document = {
+        "schema_version": "1",
+        "network_id": "bitcoin",
+        "holdings": [{"entity_id": "alice", "date": token, "amount": "1"}],
+    }
+    with pytest.raises(DatasetInvalid) as raised:
+        parse_portfolio_json(json.dumps(document), "portfolio.json")
+    (issue,) = raised.value.issues
+    assert (issue.source, issue.row, issue.column) == ("portfolio.json:holdings", 1, "date")
+    assert issue.reason == f"not an ISO-8601 date: {token!r}"
+
+
+@pytest.mark.parametrize("token", ["20210101", "2021-W01-5"])
+def test_cli_days_date_is_row_addressed(tmp_path, token):
+    path = tmp_path / "days.csv"
+    rows = ["2021-01-01,1000,900,60,18716000,,5,,,", f"{token},1000,900,60,18716000,,5,,,"]
+    path.write_text("\n".join([",".join(NETWORK_CSV_COLUMNS), *rows]) + "\n", encoding="utf-8")
+    result = _validate(path)
+    assert result.exit_code == 1
+    (issue,) = json.loads(result.output)["issues"]
+    assert issue == {
+        "source": "days.csv",
+        "code": "row_invalid",
+        "reason": f"not an ISO-8601 date: {token!r}",
+        "row": 2,
+        "column": "date",
+    }
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_cli_range_flags_take_only_yyyy_mm_dd(tmp_path, flag):
+    path = tmp_path / "days.csv"
+    path.write_text(",".join(NETWORK_CSV_COLUMNS) + "\n2021-01-01,1000,900,60,18716000,,5,,,\n", encoding="utf-8")
+    args = ["series", "--days", str(path), "--network", "bitcoin", "--consensus", "pow"]
+    result = CliRunner().invoke(main, [*args, "--from", "2021-01-01", "--to", "2021-01-01", flag, "2021-W01-5"])
+    assert result.exit_code == 2
+    assert result.output == f"{flag}: not an ISO-8601 date: '2021-W01-5'\n"
