@@ -63,10 +63,14 @@ class TokenHolding:
     amount: CoinAmount
 
 
-def app_pool(day: NetworkDay, weights: engine.MethodWeights, app: AppDay) -> Energy:
-    """The app's slice of the day's transaction pool."""
+def _check_app_day(app: AppDay, day: NetworkDay) -> None:
     if app.date != day.date:
         raise ValueError(f"app day {app.date} does not match network day {day.date}")
+
+
+def app_pool(day: NetworkDay, weights: engine.MethodWeights, app: AppDay) -> Energy:
+    """The app's slice of the day's transaction pool."""
+    _check_app_day(app, day)
     return engine.transaction_pool(day, weights) * app.app_fee_share
 
 
@@ -86,14 +90,20 @@ def _app_plan(
     scope: tuple[str, ...],
     holding_factors: tuple[tuple[str, Fraction], ...] = (),
     transaction_factors: tuple[tuple[str, Fraction], ...] = (),
+    hybrid: bool = False,
 ) -> engine.DayPlan:
     """The app-day's plan: both pools are slices of the app's share of the transaction pool.
 
     The app's fee (or gas) total is derived from its declared share of the
     network total, so the same basis hierarchy as network-level allocation
-    applies within the app.
+    applies within the app. A ``hybrid`` plan adds the host's holding and
+    transaction weights to its pools, once the weights are checked.
     """
     engine.require_weights(day, weights)
+    _check_app_day(app, day)
+    if hybrid:
+        holding_factors += (("app_holding_weight", weights.holding_weight.value),)
+        transaction_factors += (("app_transaction_weight", weights.transaction_weight.value),)
     # the day's plan without weights; its pools, method and totals are replaced below
     plan = engine.plan_day(day, None, Method.TRANSACTION_BASED, scope + (f"app:{app.app_id}",))
     base, fee_share = day.energy.wh, app.app_fee_share.value
@@ -130,6 +140,8 @@ def _app_transaction_result(
 def _token_result(plan: engine.DayPlan, app: AppDay, holding: TokenHolding) -> AllocationResult:
     if holding.date != plan.day.date:
         raise ValueError(f"token holding dated {holding.date} does not match day {plan.day.date}")
+    if holding.app_id != app.app_id:
+        raise ValueError(f"token holding is for app {holding.app_id!r}, not {app.app_id!r}")
     if app.token_supply is None:
         raise NotAToken(f"{app.app_id} has no token supply; use transaction-based allocation")
     if holding.amount.value > app.token_supply.value:
@@ -195,15 +207,7 @@ def allocate_app_hybrid(
             )
         plan = _app_plan(day, weights, app, Method.TRANSACTION_BASED, scope)
         return tuple(_app_transaction_result(plan, app, tx, params.kind) for tx in txs)
-    plan = _app_plan(
-        day,
-        weights,
-        app,
-        Method.HYBRID,
-        scope,
-        holding_factors=(("app_holding_weight", weights.holding_weight.value),),
-        transaction_factors=(("app_transaction_weight", weights.transaction_weight.value),),
-    )
+    plan = _app_plan(day, weights, app, Method.HYBRID, scope, hybrid=True)
     results = [_token_result(plan, app, holding)] if holding is not None else []
     results += [_app_transaction_result(plan, app, tx, params.kind) for tx in txs]
     results.sort(key=AllocationResult.sort_key)

@@ -37,6 +37,9 @@ _METHODS = {
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
+# rejected at the option, so a bad value exits 2 before any input is read
+_SIG_DIGITS = click.IntRange(min=1)
+
 
 class _Failure(Exception):
     def __init__(self, code: int, message: str):
@@ -257,7 +260,7 @@ def validate(paths, network, consensus, coin_decimals, json_report):
 @click.option("--fill", type=click.Choice(["forward"]), help="Synthesize missing days.")
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--sig-digits", type=int, default=DEFAULT_SIG_DIGITS, show_default=True)
+@click.option("--sig-digits", type=_SIG_DIGITS, default=DEFAULT_SIG_DIGITS, show_default=True)
 def allocate(
     days,
     remote,
@@ -299,10 +302,7 @@ def allocate(
             day_list, dataset.consensus, selected, _METHODS[method]
         )
         if fmt == "json":
-            obj = report.allocation_to_json_obj(
-                dataset.network_id, allocation, sig_digits, with_carbon=carbon
-            )
-            _emit(json.dumps(obj, indent=2) + "\n", out)
+            _emit(report.allocation_to_json(dataset.network_id, allocation, sig_digits, carbon), out)
         else:
             _emit(report.results_to_csv(allocation.results, sig_digits, with_carbon=carbon), out)
             summary_obj = report.summary_to_obj(allocation.summary, sig_digits, with_carbon=carbon)
@@ -326,7 +326,7 @@ def allocate(
 @click.option("--carbon", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True)
-@click.option("--sig-digits", type=int, default=DEFAULT_SIG_DIGITS, show_default=True)
+@click.option("--sig-digits", type=_SIG_DIGITS, default=DEFAULT_SIG_DIGITS, show_default=True)
 def compare(
     days_paths,
     remote,
@@ -386,7 +386,7 @@ def compare(
 @click.option("--to", "to_", help="Last day (ISO-8601), inclusive.")
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--sig-digits", type=int, default=DEFAULT_SIG_DIGITS, show_default=True)
+@click.option("--sig-digits", type=_SIG_DIGITS, default=DEFAULT_SIG_DIGITS, show_default=True)
 def series(days, remote, cache_dir, network, consensus, coin_decimals, from_, to_, out, fmt, sig_digits):
     """Per-day hybrid transaction weight as a plottable series."""
 

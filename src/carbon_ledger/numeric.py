@@ -86,7 +86,7 @@ def decimal_str(value: Fraction) -> str:
     if d != 1:
         raise ValueError(f"{value!r} has no finite decimal expansion")
     k = max(twos, fives)
-    return _render("-" if value < 0 else "", abs(value.numerator) * 10**k // value.denominator, -k)
+    return _render("-" if value.numerator < 0 else "", abs(value.numerator) * 10**k // value.denominator, -k)
 
 
 def _round_half_even(value: Fraction, sig_digits: int) -> tuple[int, int]:
@@ -118,9 +118,20 @@ def _round_half_even(value: Fraction, sig_digits: int) -> tuple[int, int]:
 def round_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> Fraction:
     """Round half-even to ``sig_digits`` significant digits; shares ``format_sig``'s kernel."""
     q, k = _round_half_even(value, sig_digits)
-    return (-q if value < 0 else q) * Fraction(10) ** k
+    return (-q if value.numerator < 0 else q) * Fraction(10) ** k
 
 
 def format_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
     """Round half-even to significant digits and render a normalized decimal."""
-    return _render("-" if value < 0 else "", *_round_half_even(value, sig_digits))
+    return _render("-" if value.numerator < 0 else "", *_round_half_even(value, sig_digits))
+
+
+def format_sig_shifted(value: Fraction, sig_digits: int, shift: int) -> tuple[str, str]:
+    """``format_sig`` of value and of value / 10**shift, from one rounding.
+
+    Rounding to significant digits commutes with powers of ten, so the same
+    (q, k) renders both; this is how Wh and kWh cells are made together.
+    """
+    sign = "-" if value.numerator < 0 else ""
+    q, k = _round_half_even(value, sig_digits)
+    return _render(sign, q, k), _render(sign, q, k - shift)

@@ -12,8 +12,11 @@ energy/tx_count on constant data.
 from __future__ import annotations
 
 import datetime as _dt
+import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator
 
 from . import engine
@@ -30,7 +33,7 @@ from .model import (
     NetworkDay,
     TransactionRecord,
 )
-from .numeric import DEFAULT_SIG_DIGITS, format_sig
+from .numeric import DEFAULT_SIG_DIGITS, format_sig, format_sig_shifted
 
 TEXT_TABLE_SIG_DIGITS = 4
 
@@ -196,6 +199,24 @@ def _carbon_cells(row: ComparisonRow) -> tuple[Carbon | None, ...]:
     )
 
 
+_CSV_SPECIAL = re.compile(r'[",\r\n]')
+
+
+def _csv_line(cells: list[str]) -> str:
+    """One CSV record, quoted per RFC 4180 as ``csv.QUOTE_MINIMAL`` does.
+
+    A cell is quoted only if it holds a comma, quote, CR or LF, with inner
+    quotes doubled; a line whose commas are all separators and that holds no
+    quote or line break needs none of it.
+    """
+    line = ",".join(cells)
+    if line.count(",") == len(cells) - 1 and _CSV_SPECIAL.search(line) is None:
+        return line
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if _CSV_SPECIAL.search(cell) else cell for cell in cells
+    )
+
+
 def comparison_to_csv(
     rows: list[ComparisonRow],
     with_carbon: bool = False,
@@ -212,7 +233,7 @@ def comparison_to_csv(
         if with_carbon:
             for carbon in _carbon_cells(row):
                 cells.append(format_sig(carbon.grams, sig_digits) if carbon else "")
-        lines.append(",".join(cells))
+        lines.append(_csv_line(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -304,12 +325,15 @@ _RESULT_COLUMNS = (
 
 def _result_rows(
     results: Iterable[AllocationResult], sig_digits: int, with_carbon: bool
-) -> Iterator[tuple[AllocationResult, list[str]]]:
-    """Each result with its cells; the three per-pool cells are rendered once per pool.
+) -> Iterator[list[str]]:
+    """Each result's cells as text, in ``_RESULT_COLUMNS`` order: the one source of cell text.
 
-    Results of one pool share its base and factor objects, so those cells are
-    memoized by identity (a value key would cost a Fraction hash per row); the
-    memo keeps the audit it was built from, so the ids stay valid.
+    The Wh and kWh cells come from one rounding. The three per-pool cells are
+    rendered once per pool: results of one pool share its base and factor
+    objects, so those cells are memoized by identity (a value key would cost a
+    Fraction hash per row); the memo keeps the audit it was built from, so the
+    ids stay valid. ``format_sig`` is looked up at call time, so a wrapper
+    installed on this module sees every call.
     """
     pool_cells: dict[tuple[int, int], tuple[AuditTrail, list[str]]] = {}
     for result in results:
@@ -323,13 +347,12 @@ def _result_rows(
                 format_sig(pool_weight, sig_digits),
                 format_sig(audit.base_wh * pool_weight, sig_digits),
             ]
-        yield result, [
+        yield [
             result.date.isoformat(),
             result.entity_id,
             result.method.value,
             result.activity.value,
-            format_sig(result.energy.wh, sig_digits),
-            format_sig(result.energy.value_in("kWh"), sig_digits),
+            *format_sig_shifted(result.energy.wh, sig_digits, 3),
             format_sig(carbon.grams, sig_digits) if carbon is not None else "",
             *pool_cells[key][1],
             format_sig(audit.entity_share, sig_digits),
@@ -346,7 +369,7 @@ def results_to_csv(
     with_carbon: bool = True,
 ) -> str:
     lines = [",".join(_RESULT_COLUMNS)]
-    lines += [",".join(cells) for _, cells in _result_rows(results, sig_digits, with_carbon)]
+    lines += [_csv_line(cells) for cells in _result_rows(results, sig_digits, with_carbon)]
     return "\n".join(lines) + "\n"
 
 
@@ -380,23 +403,60 @@ def summary_to_obj(
     }
 
 
+# JSON form of a result cell: these columns are written as they come (the
+# cell is already a JSON string, null or boolean), every other is quoted.
+_JSON_VERBATIM = {"entity_id", "carbon_g", "basis", "weight_source", "scope", "filled_forward"}
+_ENTITY, _CARBON, _BASIS, _SOURCE, _SCOPE = (
+    _RESULT_COLUMNS.index(column) for column in ("entity_id", "carbon_g", "basis", "weight_source", "scope")
+)
+# One result object of ``json.dumps(..., indent=2)`` at its depth in the document.
+_JSON_RESULT = (
+    "    {\n"
+    + ",\n".join(
+        f"      {_json_str(column)}: " + ("%s" if column in _JSON_VERBATIM else '"%s"')
+        for column in _RESULT_COLUMNS
+    )
+    + "\n    }"
+)
+
+
+def allocation_to_json(
+    network_id: str,
+    allocation: engine.PortfolioAllocation,
+    sig_digits: int = DEFAULT_SIG_DIGITS,
+    with_carbon: bool = True,
+) -> str:
+    """The result document, byte for byte as ``json.dumps(obj, indent=2) + "\\n"`` writes it.
+
+    Each result is written into one fixed-shape template instead of building
+    a dict per row for ``json`` (whose pure-Python encoder runs when
+    ``indent`` is set); the summary, a dozen cells, still goes through
+    ``json.dumps``.
+    """
+    rows = []
+    for cells in _result_rows(allocation.results, sig_digits, with_carbon):
+        cells[_ENTITY] = _json_str(cells[_ENTITY])
+        cells[_CARBON] = f'"{cells[_CARBON]}"' if cells[_CARBON] else "null"
+        cells[_BASIS] = _json_str(cells[_BASIS])
+        cells[_SOURCE] = _json_str(cells[_SOURCE]) if cells[_SOURCE] else "null"
+        cells[_SCOPE] = _json_str(cells[_SCOPE])
+        rows.append(_JSON_RESULT % tuple(cells))
+    results = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    summary = json.dumps(summary_to_obj(allocation.summary, sig_digits, with_carbon), indent=2)
+    # json.dumps escapes line breaks inside strings, so every "\n" here is layout
+    summary = summary.replace("\n", "\n  ")
+    return (
+        f'{{\n  "schema_version": "1",\n  "network_id": {_json_str(network_id)},\n'
+        f'  "method": "{allocation.method.value}",\n  "results": {results},\n'
+        f'  "summary": {summary}\n}}\n'
+    )
+
+
 def allocation_to_json_obj(
     network_id: str,
     allocation: engine.PortfolioAllocation,
     sig_digits: int = DEFAULT_SIG_DIGITS,
     with_carbon: bool = True,
 ) -> dict:
-    results = []
-    for result, cells in _result_rows(allocation.results, sig_digits, with_carbon):
-        entry = dict(zip(_RESULT_COLUMNS, cells))
-        entry["carbon_g"] = entry["carbon_g"] or None
-        entry["weight_source"] = entry["weight_source"] or None
-        entry["filled_forward"] = result.audit.filled_forward
-        results.append(entry)
-    return {
-        "schema_version": "1",
-        "network_id": network_id,
-        "method": allocation.method.value,
-        "results": results,
-        "summary": summary_to_obj(allocation.summary, sig_digits, with_carbon),
-    }
+    """The result document as a dict: ``allocation_to_json`` decoded."""
+    return json.loads(allocation_to_json(network_id, allocation, sig_digits, with_carbon))

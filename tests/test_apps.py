@@ -244,3 +244,34 @@ class TestWeightsDate:
         }
         with pytest.raises(ValueError, match=r"^weights are for 2021-01-02, day is 2021-01-01$"):
             calls[route]()
+
+
+class TestAppInputsChecked:
+    def test_app_day_of_another_date_rejected(self, btc_day):
+        weights = method_weights(btc_day, POW)
+        app = make_app(supply="1000", date=D1 + dt.timedelta(days=1))
+        tx = TransactionRecord("bob", D1, tx_count=1)
+        holding = TokenHolding("alice", "uniswap", D1, CoinAmount(frac("1")))
+        message = r"^app day 2021-01-02 does not match network day 2021-01-01$"
+        for call in (
+            lambda: allocate_app_transaction(btc_day, weights, app, tx, POW),
+            lambda: allocate_token_holding(btc_day, weights, app, holding),
+            lambda: allocate_app_hybrid(btc_day, weights, app, holding, (tx,), POW),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_hybrid_without_weights_is_the_engine_error(self, btc_day):
+        app = make_app(supply="1000")
+        holding = TokenHolding("alice", "uniswap", D1, CoinAmount(frac("1")))
+        with pytest.raises(ValueError, match=r"^hybrid allocation requires method weights$"):
+            allocate_app_hybrid(btc_day, None, app, holding, (), POW)
+
+    def test_token_holding_of_another_app_rejected(self, btc_day):
+        weights = method_weights(btc_day, POW)
+        app = make_app(supply="1000")
+        holding = TokenHolding("alice", "sushiswap", D1, CoinAmount(frac("1")))
+        with pytest.raises(ValueError, match=r"^token holding is for app 'sushiswap', not 'uniswap'$"):
+            allocate_token_holding(btc_day, weights, app, holding)
+        with pytest.raises(ValueError, match="sushiswap"):
+            allocate_app_hybrid(btc_day, weights, app, holding, (), POW)

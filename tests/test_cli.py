@@ -507,3 +507,33 @@ class TestSeries:
         result = runner.invoke(main, ["series", *network_args(path)])
         weights = [Fraction(line.split(",")[1]) for line in result.output.splitlines()[1:]]
         assert all(0 <= w <= 1 for w in weights)
+
+
+class TestSigDigitsOption:
+    """--sig-digits below 1 is a usage error (exit 2) on every command, before any input is read."""
+
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["allocate", "--method", "hybrid"],
+            ["allocate", "--method", "hybrid", "--format", "csv"],
+            # an empty range renders nothing, so this run used to exit 0
+            ["allocate", "--method", "hybrid", "--from", "2030-01-01", "--to", "2030-01-02"],
+            ["compare", "--format", "csv"],
+            ["series"],
+        ],
+    )
+    def test_rejected_at_the_option(self, runner, btc_csv, portfolio_json, command, digits):
+        args = [*command, *network_args(btc_csv), "--sig-digits", digits]
+        if command[0] == "allocate":
+            args += ["--portfolio", str(portfolio_json)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "--sig-digits" in result.output
+        assert "x>=1" in result.output
+
+    def test_one_digit_is_accepted(self, runner, btc_csv):
+        result = runner.invoke(main, ["series", *network_args(btc_csv), "--sig-digits", "1"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1] == "2021-01-01,0.06"
