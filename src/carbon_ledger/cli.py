@@ -70,8 +70,15 @@ _EXIT_CODES = {
 
 
 def _run(body) -> None:
+    """Run a command's body; a failure becomes its message on stderr and its exit code.
+
+    The body runs inside one ``ingestion.bulk()``: what a command loads and
+    builds holds no cycles, so a collection between loads, during the join
+    or during allocation would rescan it all and free nothing.
+    """
     try:
-        body()
+        with ingestion.bulk():
+            body()
     except _Failure as failure:
         click.echo(failure.message, err=True)
         sys.exit(failure.code)
@@ -145,9 +152,7 @@ def validate(paths, network, consensus, coin_decimals, json_report):
         params = ConsensusParams(Consensus(consensus))
         issues: list[ValidationIssue] = []
         dataset: Dataset | None = None
-        portfolio = None
-        bundle = None
-        l2s = None
+        loaded = {}  # document kind → what its loader made of the last such file
 
         def collect(loader):
             nonlocal issues
@@ -169,40 +174,13 @@ def validate(paths, network, consensus, coin_decimals, json_report):
                 )
                 continue
             try:
-                with ingestion.bulk():
-                    document = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                issues.append(
-                    ValidationIssue(
-                        source=path.name, code="schema_mismatch", reason=f"not valid JSON: {exc}"
-                    )
-                )
+                kind, load = ingestion.decode_json_file(path)
+            except DatasetInvalid as exc:
+                issues.extend(exc.issues)
                 continue
-            # the loaders take the decoded document, so each file is decoded once
-            decoded = ingestion.Decoded(path.name, document)
-            if not isinstance(document, dict):
-                issues.append(
-                    ValidationIssue(
-                        source=path.name,
-                        code="schema_mismatch",
-                        reason="top level must be an object",
-                    )
-                )
-            elif "holdings" in document or "transactions" in document:
-                portfolio = collect(lambda: ingestion.load_portfolio_json(decoded, coin_decimals))
-            elif "apps" in document or "token_holdings" in document:
-                bundle = collect(lambda: ingestion.load_apps_json(decoded, coin_decimals))
-            elif "l2s" in document:
-                l2s = collect(lambda: ingestion.load_l2_json(decoded, params, coin_decimals))
-            else:
-                issues.append(
-                    ValidationIssue(
-                        source=path.name,
-                        code="schema_mismatch",
-                        reason="unrecognized document kind",
-                    )
-                )
+            loaded[kind] = collect(lambda: load(params, coin_decimals))
 
+        portfolio, bundle, l2s = loaded.get("portfolio"), loaded.get("apps"), loaded.get("l2s")
         if dataset is not None:
             joined = Dataset(
                 network_id=dataset.network_id,

@@ -9,9 +9,16 @@ round-trips are byte-identical by construction. Parsing is exact (no float
 round-trip anywhere) and validation reports every invalid row's first
 problem, rather than stopping at the first bad row.
 
+Each spec's row reader is generated at import as straight-line source, one
+local per column, the way ``dataclasses`` builds ``__init__``: a clean cell
+(a plain non-negative decimal, a ``YYYY-MM-DD`` date, a non-empty id, a
+non-negative int count) is built inline, and every other cell goes to its
+column's parser, so every row problem still comes from one place.
+
 Documents are decoded and their records built inside ``bulk()``, with the
 cyclic garbage collector paused: those objects hold no cycles, and each
-full collection would otherwise rescan every record built so far.
+full collection would otherwise rescan every record built so far. The CLI
+runs each whole command inside one such pause.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .model import (
     Share,
     TransactionRecord,
 )
-from .numeric import decimal_str, split_decimal
+from .numeric import _DECIMAL_TOKEN, decimal_str, split_decimal
 
 SCHEMA_MAJOR = 1
 DEFAULT_COIN_DECIMALS = 18
@@ -113,15 +120,26 @@ _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
 
 @functools.lru_cache(maxsize=4096)
-def parse_date(token: str) -> _dt.date:
-    """The calendar date of a ``YYYY-MM-DD`` token; ValueError for anything else.
+def _iso_date(token: str) -> _dt.date | None:
+    """The calendar date of a ``YYYY-MM-DD`` token, or None for anything else.
 
     Memoised, with a bound: records repeat their dates (a year of records has
     365 distinct ones).
     """
     if _ISO_DATE.fullmatch(token) is None:
+        return None
+    try:
+        return _dt.date.fromisoformat(token)
+    except ValueError:
+        return None
+
+
+def parse_date(token: str) -> _dt.date:
+    """The calendar date of a ``YYYY-MM-DD`` token; ValueError for anything else."""
+    date = _iso_date(token)
+    if date is None:
         raise ValueError(f"not an ISO-8601 date: {token!r}")
-    return _dt.date.fromisoformat(token)
+    return date
 
 
 # Cell parsers: a JSON or CSV cell in, a record value (None when absent) out.
@@ -191,10 +209,12 @@ def _count(value: Any, column: str, coin_decimals: int) -> int | None:
 
 def _date(value: Any, column: str, coin_decimals: int) -> _dt.date | None:
     token = _token(value, column)
-    try:
-        return None if token is None else parse_date(token)
-    except ValueError:
-        raise RowProblem(column, f"not an ISO-8601 date: {token!r}") from None
+    if token is None:
+        return None
+    date = _iso_date(token)
+    if date is None:
+        raise RowProblem(column, f"not an ISO-8601 date: {token!r}")
+    return date
 
 
 def _id(value: Any, column: str, coin_decimals: int) -> str:
@@ -203,14 +223,50 @@ def _id(value: Any, column: str, coin_decimals: int) -> str:
     return value
 
 
-# Cell kinds: (parser, renderer). A renderer gives the JSON cell; a CSV cell is its str().
-_DATE = (_date, _dt.date.isoformat)
-_ID = (_id, str)
-_DECIMAL = (lambda value, column, coin_decimals: _decimal(value, column), decimal_str)
-_ENERGY = (_energy, lambda energy: decimal_str(energy.wh))
-_COIN = (_coin, lambda amount: decimal_str(amount.value))
-_SHARE = (_share, lambda share: decimal_str(share.value))
-_COUNT = (_count, int)
+# Source for the generated readers (``_reader``), in terms of the cell ``v``: a
+# decimal token the parsers take as it is (plain, not negative, and short
+# enough that int() of its digits never meets the interpreter's digit limit,
+# which cannot be set below 640); a coin token also within ``coin_decimals``
+# fractional digits; and the exact value of such a token.
+_CLEAN_DECIMAL = 'v.__class__ is str and len(v) <= 640 and (m := _match(v)) and m[1] != "-"'
+_CLEAN_COIN = _CLEAN_DECIMAL + ' and len(m[3] or "") <= coin_decimals'
+_QUOTIENT = 'Fraction(int(m[2] + (f := m[3] or "")), 10 ** len(f))'
+
+
+def _inline(value: str, clean: str = _CLEAN_DECIMAL) -> str:
+    """Source of a cell's value: None when absent, ``value`` when ``clean`` holds, else the parser's."""
+    return f"None if v is None else {value} if {clean} else {{parse}}"
+
+
+class _Kind(NamedTuple):
+    """A cell kind: its parser and renderer, and the source a generated reader inlines for a cell.
+
+    A renderer gives the JSON cell; a CSV cell is its str(). ``source`` is an
+    expression on the cell ``v`` that builds an absent or clean cell's value
+    itself, exactly as the parser would, and calls the parser (``{parse}``)
+    for every other cell, so every RowProblem comes from the parsers.
+    """
+
+    parse: Callable
+    render: Callable
+    source: str
+
+
+_DATE = _Kind(_date, _dt.date.isoformat, _inline("_iso_date(v) or {parse}", "v.__class__ is str"))
+_ID = _Kind(_id, str, "v if v.__class__ is str and v else {parse}")
+_DECIMAL = _Kind(
+    lambda value, column, coin_decimals: _decimal(value, column), decimal_str, _inline(_QUOTIENT)
+)
+_ENERGY = _Kind(_energy, lambda energy: decimal_str(energy.wh), _inline(f"Energy({_QUOTIENT})"))
+_COIN = _Kind(
+    _coin, lambda amount: decimal_str(amount.value), _inline(f"CoinAmount({_QUOTIENT})", _CLEAN_COIN)
+)
+_SHARE = _Kind(
+    _share,
+    lambda share: decimal_str(share.value),
+    _inline(f"(Share(q) if (q := {_QUOTIENT}).numerator <= q.denominator else {{parse}})"),
+)
+_COUNT = _Kind(_count, int, _inline("v", "v.__class__ is int and v >= 0"))
 
 
 class _Column(NamedTuple):
@@ -223,15 +279,14 @@ class _Column(NamedTuple):
 
     name: str
     attr: str
-    parse: Callable
-    render: Callable
+    kind: _Kind
     required: bool
     default: Any
     bound: tuple[Callable, str] | None
 
 
 def _column(name, kind, required=False, *, attr=None, default=None, bound=None) -> _Column:
-    return _Column(name, attr or name, *kind, required, default, bound)
+    return _Column(name, attr or name, kind, required, default, bound)
 
 
 class _Spec:
@@ -240,36 +295,16 @@ class _Spec:
     ``noun`` names a row that is not an object. The first ``key`` columns
     identify a record and must be unique in a document (``duplicate`` names
     one in the problem); ``order`` lists the attributes that sort output.
+    ``build`` makes the record from its values by attribute; ``reader`` is
+    the row reader generated from the columns.
     """
 
-    def __init__(self, noun, columns, order, key=None, duplicate=""):
+    def __init__(self, noun, columns, order, build, key=None, duplicate=""):
         self.noun, self.columns, self.key, self.duplicate = noun, columns, key, duplicate
+        self.build = build
         self.names = tuple(column.name for column in columns)
         self.sort_key = attrgetter(*order)
-
-    def read(self, row: Any, coin_decimals: int, seen: set[tuple] | None = None) -> dict[str, Any]:
-        """A row's record values by attribute; raises RowProblem at its first problem.
-
-        Runs once per cell of every record, so each column's absence, default
-        and bound are handled here inline.
-        """
-        if not isinstance(row, dict):
-            raise RowProblem(None, f"{self.noun} must be an object")
-        values: dict[str, Any] = {}
-        cell, key_index = row.get, self.key
-        for index, (name, attr, parse, _, required, default, bound) in enumerate(self.columns):
-            if index == key_index and seen and (key := tuple(values.values())) in seen:
-                reason = f"duplicate {self.duplicate} {' '.join(map(str, key))}"
-                raise RowProblem("date", reason, "duplicate_date")
-            value = parse(cell(name), name, coin_decimals)
-            if value is None:
-                if required:
-                    raise RowProblem(name, "value required")
-                value = default
-            elif bound is not None and not bound[0](value):
-                raise RowProblem(name, bound[1])
-            values[attr] = value
-        return values
+        self.reader = _reader(self)
 
     def fields(self, record: Any) -> dict[str, Any]:
         """The record as a canonical JSON object; absent columns are left out."""
@@ -277,15 +312,73 @@ class _Spec:
         for column in self.columns:
             value = getattr(record, column.attr)
             if value != column.default:
-                fields[column.name] = column.render(value)
+                fields[column.name] = column.kind.render(value)
         return fields
 
     def dump(self, records: Iterable[Any]) -> list[dict[str, Any]]:
         return [self.fields(record) for record in sorted(records, key=self.sort_key)]
 
 
+def _reader(spec: _Spec) -> Callable:
+    """The spec's row reader: straight-line source, generated once as ``dataclasses`` builds ``__init__``.
+
+    ``reader(row, coin_decimals, seen=None)`` returns ``spec.build`` of the
+    row's values by attribute, or raises RowProblem at the row's first
+    problem. Per column, in order: at the key index, the test of the key so
+    far against ``seen``; the cell, built inline when clean and by its parser
+    otherwise; then its absence (required or default) or its bound.
+    """
+    names = {
+        "RowProblem": RowProblem, "Fraction": Fraction, "Energy": Energy, "CoinAmount": CoinAmount,
+        "Share": Share, "_match": _DECIMAL_TOKEN.fullmatch, "_iso_date": _iso_date, "_build": spec.build,
+    }
+    lines = [
+        "def read(row, coin_decimals, seen=None):",
+        "    if not isinstance(row, dict):",
+        f"        raise RowProblem(None, {spec.noun + ' must be an object'!r})",
+        "    get = row.get",
+    ]
+    for index, (name, _, kind, required, default, bound) in enumerate(spec.columns):
+        x, parse = f"x{index}", f"_parse{index}(v, {name!r}, coin_decimals)"
+        if index == spec.key:
+            key = "".join(f"x{i}, " for i in range(index))
+            reason = f"{f'duplicate {spec.duplicate} '!r} + ' '.join(map(str, ({key})))"
+            lines += [
+                f"    if seen and ({key}) in seen:",
+                f"        raise RowProblem('date', {reason}, 'duplicate_date')",
+            ]
+        names[f"_parse{index}"] = kind.parse
+        lines += [
+            f"    v = get({name!r})",
+            f"    {x} = {kind.source.replace('{parse}', parse)}",
+        ]
+        if required:
+            lines += [f"    if {x} is None:", f"        raise RowProblem({name!r}, 'value required')"]
+        elif default is not None:
+            names[f"_default{index}"] = default
+            lines += [f"    if {x} is None:", f"        {x} = _default{index}"]
+        if bound is not None:
+            names[f"_bound{index}"] = bound[0]
+            test = "elif" if required or default is not None else f"if {x} is not None and"
+            lines += [
+                f"    {test} not _bound{index}({x}):",
+                f"        raise RowProblem({name!r}, {bound[1]!r})",
+            ]
+    values = ", ".join(f"{column.attr}=x{index}" for index, column in enumerate(spec.columns))
+    lines.append(f"    return _build({values})")
+    exec(compile("\n".join(lines), f"<{spec.noun} reader>", "exec"), names)
+    return names["read"]
+
+
 def _nonzero(coins: CoinAmount) -> bool:
     return coins.value.numerator != 0
+
+
+def _transaction(fee_paid, gas_used, tx_count, entity_id, date) -> TransactionRecord:
+    # a record with no basis at all stands for one transaction
+    if fee_paid is None and gas_used is None and tx_count is None:
+        tx_count = 1
+    return TransactionRecord(entity_id, date, fee_paid, gas_used, tx_count)
 
 
 _DAY = _Spec(
@@ -307,12 +400,12 @@ _DAY = _Spec(
         _column("pos_tx_share", _SHARE),
         _column("emission_factor_g_per_kwh", _DECIMAL, attr="emission_factor"),
     ),
-    order=("date",), key=1, duplicate="date",
+    order=("date",), build=dict, key=1, duplicate="date",
 )
 _HOLDING = _Spec(
     "holding",
     (_column("amount", _COIN, True), _column("entity_id", _ID), _column("date", _DATE, True)),
-    order=("date", "entity_id"),
+    order=("date", "entity_id"), build=HoldingRecord,
 )
 _TRANSACTION = _Spec(
     "transaction",
@@ -323,7 +416,7 @@ _TRANSACTION = _Spec(
         _column("entity_id", _ID),
         _column("date", _DATE, True),
     ),
-    order=("date", "entity_id"),
+    order=("date", "entity_id"), build=_transaction,
 )
 _APP = _Spec(
     "app",
@@ -333,7 +426,7 @@ _APP = _Spec(
         _column("token_supply", _COIN, bound=(_nonzero, "must be > 0 when present")),
         _column("app_tx_count", _COUNT, True),
     ),
-    order=("date", "app_id"), key=2, duplicate="app day",
+    order=("date", "app_id"), build=AppDay, key=2, duplicate="app day",
 )
 _TOKEN_HOLDING = _Spec(
     "token holding",
@@ -343,7 +436,7 @@ _TOKEN_HOLDING = _Spec(
         _column("app_id", _ID),
         _column("date", _DATE, True),
     ),
-    order=("date", "app_id", "entity_id"),
+    order=("date", "app_id", "entity_id"), build=TokenHolding,
 )
 _L2 = _Spec(
     "layer-2 entry",
@@ -352,7 +445,7 @@ _L2 = _Spec(
         _column("l1_fee_share", _SHARE, True),
         _column("infra_energy_wh", _ENERGY, True, attr="infra_energy"),
     ),
-    order=("date", "l2_id"), key=2, duplicate="layer-2 day",
+    order=("date", "l2_id"), build=dict, key=2, duplicate="layer-2 day",
 )
 
 NETWORK_CSV_COLUMNS = _DAY.names
@@ -440,7 +533,7 @@ def day_from_fields(
     Raises ``RowProblem`` on the first problem; shared by the CSV and layer-2
     loaders and the remote client so all of them validate identically.
     """
-    return _day(_DAY.read(fields, coin_decimals), consensus)
+    return _day(_DAY.reader(fields, coin_decimals), consensus)
 
 
 def day_to_fields(day: NetworkDay) -> dict[str, Any]:
@@ -469,7 +562,7 @@ def parse_network_csv(
         cells = line.split(",")
         if len(cells) != len(NETWORK_CSV_COLUMNS):
             raise RowProblem(None, f"expected {len(NETWORK_CSV_COLUMNS)} cells, got {len(cells)}")
-        day = _day(_DAY.read(dict(zip(NETWORK_CSV_COLUMNS, cells)), coin_decimals, seen), consensus)
+        day = _day(_DAY.reader(dict(zip(NETWORK_CSV_COLUMNS, cells)), coin_decimals, seen), consensus)
         seen.add((day.date,))
         return day
 
@@ -487,13 +580,6 @@ def load_network_csv(
     return parse_network_csv(*_read(path), network_id, consensus, coin_decimals)
 
 
-def _transaction(values: dict[str, Any]) -> TransactionRecord:
-    # a record with no basis at all stands for one transaction
-    if values["fee_paid"] is None and values["gas_used"] is None and values["tx_count"] is None:
-        values["tx_count"] = 1
-    return TransactionRecord(**values)
-
-
 def parse_portfolio_json(text: str, source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> Portfolio:
     """Parse and validate a portfolio document."""
     document = _json_document(text, source)
@@ -503,8 +589,8 @@ def parse_portfolio_json(text: str, source: str, coin_decimals: int = DEFAULT_CO
     holdings, transactions = _sections(
         document,
         source,
-        holdings=lambda row: HoldingRecord(**_HOLDING.read(row, coin_decimals)),
-        transactions=lambda row: _transaction(_TRANSACTION.read(row, coin_decimals)),
+        holdings=functools.partial(_HOLDING.reader, coin_decimals=coin_decimals),
+        transactions=functools.partial(_TRANSACTION.reader, coin_decimals=coin_decimals),
     )
     return Portfolio(network_id, tuple(holdings), tuple(transactions))
 
@@ -518,7 +604,7 @@ def parse_apps_json(text: str, source: str, coin_decimals: int = DEFAULT_COIN_DE
     seen: set[tuple] = set()
 
     def parse_app(row: Any) -> AppDay:
-        app = AppDay(**_APP.read(row, coin_decimals, seen))
+        app = _APP.reader(row, coin_decimals, seen)
         seen.add((app.app_id, app.date))
         return app
 
@@ -526,7 +612,7 @@ def parse_apps_json(text: str, source: str, coin_decimals: int = DEFAULT_COIN_DE
         _json_document(text, source),
         source,
         apps=parse_app,
-        token_holdings=lambda row: TokenHolding(**_TOKEN_HOLDING.read(row, coin_decimals)),
+        token_holdings=functools.partial(_TOKEN_HOLDING.reader, coin_decimals=coin_decimals),
     )
     return AppBundle(tuple(apps), tuple(token_holdings))
 
@@ -547,7 +633,7 @@ def parse_l2_json(
     seen: set[tuple] = set()
 
     def parse_entry(row: Any) -> Layer2Day:
-        values = _L2.read(row, coin_decimals, seen)
+        values = _L2.reader(row, coin_decimals, seen)
         l2_id, date = values["l2_id"], values["date"]
         kind = row.get("consensus")
         if kind is not None:
@@ -573,6 +659,48 @@ def load_l2_json(
     path: str | Path | Decoded, host_consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> L2Bundle:
     return parse_l2_json(*_read(path), host_consensus, coin_decimals)
+
+
+# A JSON file's kind is named by the first of these top-level keys it has:
+# key → (kind, loader of its decoded document). The loaders call through the
+# module's names, so a wrapper put on one in place sees the call.
+_PORTFOLIO = (
+    "portfolio", lambda decoded, consensus, coin_decimals: load_portfolio_json(decoded, coin_decimals)
+)
+_APPS = ("apps", lambda decoded, consensus, coin_decimals: load_apps_json(decoded, coin_decimals))
+_JSON_KINDS: dict[str, tuple[str, Callable]] = {
+    "holdings": _PORTFOLIO,
+    "transactions": _PORTFOLIO,
+    "apps": _APPS,
+    "token_holdings": _APPS,
+    "l2s": ("l2s", lambda decoded, consensus, coin_decimals: load_l2_json(decoded, consensus, coin_decimals)),
+}
+
+
+def decode_json_file(path: str | Path) -> tuple[str, Callable[[ConsensusParams, int], Any]]:
+    """A JSON file's kind and the loader of its document, decoded once.
+
+    The loader takes the host consensus and the coin decimals. Raises
+    DatasetInvalid with the file's one ``schema_mismatch`` issue when the
+    file is not valid JSON, its top level is not an object, or it has none
+    of the keys of ``_JSON_KINDS``.
+    """
+    path = Path(path)
+
+    def mismatch(reason: str) -> DatasetInvalid:
+        return DatasetInvalid([ValidationIssue(path.name, "schema_mismatch", reason)])
+
+    try:
+        with bulk():
+            document = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise mismatch(f"not valid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise mismatch("top level must be an object")
+    for key, (kind, load) in _JSON_KINDS.items():
+        if key in document:
+            return kind, functools.partial(load, Decoded(path.name, document))
+    raise mismatch("unrecognized document kind")
 
 
 def join_issues(
@@ -605,6 +733,8 @@ def join_issues(
         if l2.date not in day_map:
             no_day("l2s", l2.l2_id, l2.date)
 
+    # Amount bounds compare a/b > c/d as a*d > c*b on the integers, not by a
+    # Fraction comparison per record.
     for holding in token_holdings:
         who, amount = holding.entity_id, holding.amount.value
         app = app_map.get((holding.app_id, holding.date))
@@ -614,23 +744,28 @@ def join_issues(
         elif app.token_supply is None:
             reason = f"{holding.app_id} has no token supply on {holding.date}"
             join_issue("token_holdings", reason, "amount")
-        elif amount > app.token_supply.value:
-            reason = f"{who}: amount {amount} exceeds token supply {app.token_supply.value}"
+        elif amount.numerator * (supply := app.token_supply.value).denominator > (
+            supply.numerator * amount.denominator
+        ):
+            reason = f"{who}: amount {amount} exceeds token supply {supply}"
             join_issue("token_holdings", reason, "amount")
 
     if portfolio is not None:
         if portfolio.network_id != dataset.network_id:
             reason = f"portfolio is for {portfolio.network_id!r}, dataset is {dataset.network_id!r}"
             join_issue("portfolio", reason, "network_id")
-        # the bound the engine's holding share enforces, computed once per day
-        effective_supply = {date: day.effective_supply() for date, day in day_map.items()}
+        # the bound the engine's holding share enforces, once per day: (numerator, denominator, value)
+        effective_supply = {}
+        for date, day in day_map.items():
+            supply = day.effective_supply()
+            effective_supply[date] = supply.numerator, supply.denominator, supply
         for holding in portfolio.holdings:
-            supply = effective_supply.get(holding.date)
-            if supply is None:
+            bound = effective_supply.get(holding.date)
+            if bound is None:
                 no_day("portfolio.holdings", holding.entity_id, holding.date)
-            elif holding.amount.value > supply:
-                net = f"coin supply net of lost coins {supply} on {holding.date}"
-                reason = f"{holding.entity_id}: amount {holding.amount.value} exceeds {net}"
+            elif (amount := holding.amount.value).numerator * bound[1] > bound[0] * amount.denominator:
+                net = f"coin supply net of lost coins {bound[2]} on {holding.date}"
+                reason = f"{holding.entity_id}: amount {amount} exceeds {net}"
                 join_issue("portfolio.holdings", reason, "amount")
         for tx in portfolio.transactions:
             if tx.date not in day_map:

@@ -1,12 +1,19 @@
-"""``ingestion.bulk()``: the cyclic GC is paused while records are built, and always restored."""
+"""``ingestion.bulk()``: the cyclic GC is paused while records are built, and always restored.
+
+Each CLI command runs inside one such pause, which also covers the join and
+allocation, and leaves the collector as the caller had it.
+"""
 
 import gc
 import json
 
 import pytest
+from click.testing import CliRunner
 
-from carbon_ledger import DatasetInvalid, SchemaMismatch
-from carbon_ledger.ingestion import _collect, bulk, parse_portfolio_json
+from carbon_ledger import DatasetInvalid, SchemaMismatch, engine, ingestion
+from carbon_ledger.cli import main
+from carbon_ledger.ingestion import _collect, bulk, parse_portfolio_json, serialize_network_csv
+from conftest import bitcoin_2021_days
 
 BAD_ROW = {
     "schema_version": "1",
@@ -61,3 +68,48 @@ def test_nested_use():
             assert not gc.isenabled()
         assert not gc.isenabled()
     assert gc.isenabled()
+
+
+@pytest.fixture
+def bundle(tmp_path):
+    days = tmp_path / "days.csv"
+    days.write_text(serialize_network_csv(bitcoin_2021_days()[:2]))
+    holdings = [{"entity_id": "a", "date": "2021-01-01", "amount": "1"}]
+    portfolio = tmp_path / "portfolio.json"
+    portfolio.write_text(json.dumps({"schema_version": "1", "network_id": "bitcoin", "holdings": holdings}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_ROW))
+    network = ["--network", "bitcoin", "--consensus", "pow"]
+    allocate = ["allocate", "--days", str(days), *network, "--method", "holding", "--portfolio"]
+    return {
+        "validate-ok": (["validate", str(days), str(portfolio), *network], 0),
+        "validate-invalid": (["validate", str(days), str(bad), *network], 1),
+        "allocate-ok": ([*allocate, str(portfolio)], 0),
+        "allocate-invalid": ([*allocate, str(bad)], 1),
+    }
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("case", ["validate-ok", "validate-invalid", "allocate-ok", "allocate-invalid"])
+def test_cli_command_runs_in_one_pause_and_restores_gc(bundle, monkeypatch, caller_gc, case):
+    seen = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    recording(ingestion, "load_portfolio_json")
+    recording(ingestion, "join_issues")
+    recording(engine, "allocate_portfolio")
+    argv, code = bundle[case]
+    if not caller_gc:
+        gc.disable()
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == code, result.output
+    assert gc.isenabled() is caller_gc
+    assert seen and all(not enabled for _, enabled in seen), seen

@@ -40,6 +40,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         parsed = urlparse(self.path)
         config = self.server.config
+        self.server.requests += 1
         if config.get("status"):
             self.send_response(config["status"])
             self.end_headers()
@@ -69,10 +70,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
 
-@pytest.fixture
-def index_server():
+def _serve():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     server.config = {}
+    server.requests = 0
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
@@ -80,6 +81,10 @@ def index_server():
     finally:
         server.shutdown()
         thread.join()
+
+
+index_server = pytest.fixture(_serve, name="index_server")
+other_index_server = pytest.fixture(_serve, name="other_index_server")
 
 
 def make_client(server, tmp_path) -> RemoteDayClient:
@@ -109,10 +114,24 @@ class TestFetchDays:
 
     def test_cache_survives_new_client(self, index_server, tmp_path):
         make_client(index_server, tmp_path).fetch_days("bitcoin", START, END)
-        offline = RemoteDayClient("http://127.0.0.1:1", tmp_path / "cache", POW)
-        days = offline.fetch_days("bitcoin", START, END)
+        index_server.config["status"] = 500  # a request now would fail
+        again = make_client(index_server, tmp_path)
+        days = again.fetch_days("bitcoin", START, END)
         assert len(days) == 3
-        assert offline.fetch_count == 0
+        assert again.fetch_count == 0
+        assert index_server.requests == 1
+
+    def test_cache_is_per_index(self, index_server, other_index_server, tmp_path):
+        make_client(index_server, tmp_path).fetch_days("bitcoin", START, END)
+        other = make_client(other_index_server, tmp_path)
+        assert len(other.fetch_days("bitcoin", START, END)) == 3
+        assert other.fetch_count == 1
+        assert (index_server.requests, other_index_server.requests) == (1, 1)
+        # each index's entries are kept apart, and a URL cannot shape the path
+        first, second = make_client(index_server, tmp_path), other
+        assert first._cache_path("bitcoin", START) != second._cache_path("bitcoin", START)
+        hostile = RemoteDayClient("http://x/../../../etc", tmp_path / "cache", POW)
+        assert hostile._cache_path("bitcoin", START).parent.parent.parent == tmp_path / "cache"
 
     def test_subrange_served_from_cache(self, index_server, tmp_path):
         client = make_client(index_server, tmp_path)
@@ -186,10 +205,12 @@ class TestRemoteThroughCli:
         first = runner.invoke(main, args)
         assert first.exit_code == 0, first.output
         assert first.output.splitlines()[1] == "2021-01-01,0.0625"
-        # second run is served from the per-day cache even via a dead endpoint
-        offline = runner.invoke(main, [a if a != base else "http://127.0.0.1:1" for a in args])
+        # second run is served from the per-day cache, though a request would now fail
+        index_server.config["status"] = 500
+        offline = runner.invoke(main, args)
         assert offline.exit_code == 0
         assert offline.output == first.output
+        assert index_server.requests == 1
 
     def test_remote_requires_range(self, tmp_path):
         from click.testing import CliRunner
@@ -218,7 +239,8 @@ class TestNetworkIds:
         client = make_client(index_server, tmp_path)
         for network_id in ["bitcoin", "eth-mainnet", "l2_v2.0", "x" * 64]:
             assert len(client.fetch_days(network_id, START, END)) == 3
-            assert (tmp_path / "cache" / network_id / "2021-01-01.json").exists()
+            assert client._cache_path(network_id, START).exists()
+            assert client._cache_path(network_id, START).parent.name == network_id
 
     def test_cli_traversal_id_exits_two_and_writes_nothing(self, index_server, tmp_path):
         from click.testing import CliRunner
@@ -265,7 +287,7 @@ class TestCacheRecovery:
     def test_damaged_entry_is_refetched_and_rewritten(self, index_server, tmp_path, damage):
         client = make_client(index_server, tmp_path)
         first = client.fetch_days("bitcoin", START, END)
-        entry = tmp_path / "cache" / "bitcoin" / "2021-01-02.json"
+        entry = client._cache_path("bitcoin", dt.date(2021, 1, 2))
         intact = entry.read_text()
         entry.write_text(damage(intact), errors="surrogateescape")
         again = client.fetch_days("bitcoin", START, END)
@@ -274,8 +296,9 @@ class TestCacheRecovery:
         assert entry.read_text() == intact
 
     def test_writes_leave_no_temp_files(self, index_server, tmp_path):
-        make_client(index_server, tmp_path).fetch_days("bitcoin", START, END)
-        names = sorted(path.name for path in (tmp_path / "cache" / "bitcoin").iterdir())
+        client = make_client(index_server, tmp_path)
+        client.fetch_days("bitcoin", START, END)
+        names = sorted(path.name for path in client._cache_path("bitcoin", START).parent.iterdir())
         assert names == ["2021-01-01.json", "2021-01-02.json", "2021-01-03.json"]
 
 
@@ -335,8 +358,10 @@ class TestCliExitCodes:
 
 def test_cli_import_leaves_http_stack_unloaded():
     # warm-cache and --days runs never make a request, so they never pay for the HTTP stack
+    # (nor for OpenSSL, which hashlib loads)
     src = str(Path(carbon_ledger.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, carbon_ledger.cli; print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+    stack = "{'urllib.request', 'http.client', 'ssl', '_hashlib'}"
+    probe = f"import sys, carbon_ledger.cli; print(sorted({stack} & set(sys.modules)))"
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert loaded.stdout == "[]\n"
