@@ -133,8 +133,7 @@ def _app_transaction_result(
         raise NoTransactions(
             f"{app.app_id} on {app.date}: transaction record exists but the app reports none"
         )
-    basis, share = engine.transaction_basis(tx, kind, plan.fee_total, plan.gas_total, plan.count_total)
-    return plan.result(Activity.TRANSACTION, tx.entity_id, share, basis)
+    return engine.transaction_result(plan, tx, kind)
 
 
 def _token_result(plan: engine.DayPlan, app: AppDay, holding: TokenHolding) -> AllocationResult:

@@ -7,7 +7,9 @@ deterministic: identical inputs and flags produce byte-identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
+import functools
 import json
 import sys
 from pathlib import Path
@@ -152,7 +154,7 @@ def validate(paths, network, consensus, coin_decimals, json_report):
         params = ConsensusParams(Consensus(consensus))
         issues: list[ValidationIssue] = []
         dataset: Dataset | None = None
-        loaded = {}  # document kind → what its loader made of the last such file
+        loaded = {"portfolio": [], "apps": [], "l2s": []}  # document kind → its files, loaded
 
         def collect(loader):
             nonlocal issues
@@ -178,39 +180,27 @@ def validate(paths, network, consensus, coin_decimals, json_report):
             except DatasetInvalid as exc:
                 issues.extend(exc.issues)
                 continue
-            loaded[kind] = collect(lambda: load(params, coin_decimals))
+            document = collect(lambda: load(params, coin_decimals))
+            if document is not None:
+                loaded[kind].append(document)
 
-        portfolio, bundle, l2s = loaded.get("portfolio"), loaded.get("apps"), loaded.get("l2s")
         if dataset is not None:
+            # every app and L2 file joins as one registry, then each portfolio on its own
+            bundles = loaded["apps"]
             joined = Dataset(
                 network_id=dataset.network_id,
                 consensus=dataset.consensus,
                 days=dataset.days,
-                apps=bundle.apps if bundle is not None else (),
-                l2s=l2s.entries if l2s is not None else (),
+                apps=tuple(app for bundle in bundles for app in bundle.apps),
+                l2s=tuple(l2 for l2_file in loaded["l2s"] for l2 in l2_file.entries),
             )
-            issues.extend(
-                ingestion.join_issues(
-                    joined,
-                    portfolio=portfolio,
-                    token_holdings=bundle.token_holdings if bundle is not None else (),
-                )
-            )
+            token_holdings = tuple(holding for bundle in bundles for holding in bundle.token_holdings)
+            issues.extend(ingestion.join_issues(joined, token_holdings=token_holdings))
+            for portfolio in loaded["portfolio"]:
+                issues.extend(ingestion.join_issues(dataset, portfolio=portfolio))
 
         if json_report:
-            payload = {
-                "ok": not issues,
-                "issues": [
-                    {
-                        "source": issue.source,
-                        "code": issue.code,
-                        "reason": issue.reason,
-                        "row": issue.row,
-                        "column": issue.column,
-                    }
-                    for issue in issues
-                ],
-            }
+            payload = {"ok": not issues, "issues": [dataclasses.asdict(issue) for issue in issues]}
             click.echo(json.dumps(payload, indent=2, sort_keys=True))
         else:
             for issue in issues:
@@ -223,23 +213,48 @@ def validate(paths, network, consensus, coin_decimals, json_report):
     _run(body)
 
 
+# Declared alike by every command that reads days.
+_DAY_SOURCE_OPTIONS = (
+    click.option("--remote", help="Remote index base URL instead of --days."),
+    click.option("--cache-dir", type=click.Path(file_okay=False), help="Cache for remote days."),
+    click.option("--coin-decimals", type=int, default=ingestion.DEFAULT_COIN_DECIMALS, show_default=True),
+    click.option("--from", "from_", help="First day (ISO-8601), inclusive."),
+    click.option("--to", "to_", help="Last day (ISO-8601), inclusive."),
+    click.option("--out", type=click.Path(dir_okay=False)),
+    click.option("--sig-digits", type=_SIG_DIGITS, default=DEFAULT_SIG_DIGITS, show_default=True),
+)
+
+
+def _reads_days(command):
+    """Give a command the day-source options and run it through ``_run``.
+
+    The command is called with ``start`` and ``end``, the parsed ``--from``
+    and ``--to``; a date that does not parse fails inside ``_run``, so it
+    exits 2 with its own message rather than click's usage error.
+    """
+
+    @functools.wraps(command)
+    def run(from_, to_, **options):
+        _run(lambda: command(start=_date(from_, "--from"), end=_date(to_, "--to"), **options))
+
+    for option in reversed(_DAY_SOURCE_OPTIONS):
+        run = option(run)
+    return run
+
+
 @main.command()
+@_reads_days
 @click.option("--days", type=click.Path(exists=True, dir_okay=False))
-@click.option("--remote", help="Remote index base URL instead of --days.")
-@click.option("--cache-dir", type=click.Path(file_okay=False), help="Cache for remote days.")
 @click.option("--network", required=True)
 @click.option("--consensus", type=click.Choice(["pow", "pos"]), required=True)
-@click.option("--coin-decimals", type=int, default=ingestion.DEFAULT_COIN_DECIMALS, show_default=True)
 @click.option("--portfolio", "portfolio_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(sorted(_METHODS)), required=True)
-@click.option("--from", "from_", help="First day (ISO-8601), inclusive.")
-@click.option("--to", "to_", help="Last day (ISO-8601), inclusive.")
 @click.option("--carbon", is_flag=True, help="Include carbon where emission factors exist.")
 @click.option("--fill", type=click.Choice(["forward"]), help="Synthesize missing days.")
-@click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--sig-digits", type=_SIG_DIGITS, default=DEFAULT_SIG_DIGITS, show_default=True)
 def allocate(
+    start,
+    end,
     days,
     remote,
     cache_dir,
@@ -248,8 +263,6 @@ def allocate(
     coin_decimals,
     portfolio_path,
     method,
-    from_,
-    to_,
     carbon,
     fill,
     out,
@@ -257,63 +270,45 @@ def allocate(
     sig_digits,
 ):
     """Allocate a portfolio over a day range under one methodology."""
+    dataset = _load_dataset(days, remote, cache_dir, network, consensus, coin_decimals, start, end)
+    portfolio = ingestion.load_portfolio_json(portfolio_path, coin_decimals)
 
-    def body():
-        start = _date(from_, "--from")
-        end = _date(to_, "--to")
-        dataset = _load_dataset(
-            days, remote, cache_dir, network, consensus, coin_decimals, start, end
-        )
-        portfolio = ingestion.load_portfolio_json(portfolio_path, coin_decimals)
-
-        selected = portfolio.between(start, end)
-        day_list = dataset.days
-        if fill == "forward":
-            day_list = engine.fill_forward(day_list, selected.dates())
-        joined = Dataset(
-            network_id=dataset.network_id, consensus=dataset.consensus, days=day_list
-        )
-        issues = ingestion.join_issues(joined, portfolio=selected)
-        if issues:
-            raise DatasetInvalid(issues)
-        allocation = engine.allocate_portfolio(
-            day_list, dataset.consensus, selected, _METHODS[method]
-        )
-        if fmt == "json":
-            _emit(report.allocation_to_json(dataset.network_id, allocation, sig_digits, carbon), out)
-        else:
-            _emit(report.results_to_csv(allocation.results, sig_digits, with_carbon=carbon), out)
-            summary_obj = report.summary_to_obj(allocation.summary, sig_digits, with_carbon=carbon)
-            if out is not None:
-                Path(f"{out}.summary.json").write_text(
-                    json.dumps(summary_obj, indent=2) + "\n", encoding="utf-8"
-                )
-
-    _run(body)
+    selected = portfolio.between(start, end)
+    day_list = dataset.days
+    if fill == "forward":
+        day_list = engine.fill_forward(day_list, selected.dates())
+    joined = Dataset(network_id=dataset.network_id, consensus=dataset.consensus, days=day_list)
+    issues = ingestion.join_issues(joined, portfolio=selected)
+    if issues:
+        raise DatasetInvalid(issues)
+    allocation = engine.allocate_portfolio(day_list, dataset.consensus, selected, _METHODS[method])
+    if fmt == "json":
+        _emit(report.allocation_to_json(dataset.network_id, allocation, sig_digits, carbon), out)
+    else:
+        _emit(report.results_to_csv(allocation.results, sig_digits, with_carbon=carbon), out)
+        summary_obj = report.summary_to_obj(allocation.summary, sig_digits, with_carbon=carbon)
+        if out is not None:
+            Path(f"{out}.summary.json").write_text(
+                json.dumps(summary_obj, indent=2) + "\n", encoding="utf-8"
+            )
 
 
 @main.command()
+@_reads_days
 @click.option("--days", "days_paths", multiple=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--remote", help="Remote index base URL instead of --days.")
-@click.option("--cache-dir", type=click.Path(file_okay=False))
 @click.option("--network", "networks", multiple=True, required=True)
 @click.option("--consensus", "consensuses", multiple=True, type=click.Choice(["pow", "pos"]), required=True)
-@click.option("--coin-decimals", type=int, default=ingestion.DEFAULT_COIN_DECIMALS, show_default=True)
-@click.option("--from", "from_", help="First day (ISO-8601), inclusive.")
-@click.option("--to", "to_", help="Last day (ISO-8601), inclusive.")
 @click.option("--carbon", is_flag=True)
-@click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True)
-@click.option("--sig-digits", type=_SIG_DIGITS, default=DEFAULT_SIG_DIGITS, show_default=True)
 def compare(
+    start,
+    end,
     days_paths,
     remote,
     cache_dir,
     networks,
     consensuses,
     coin_decimals,
-    from_,
-    to_,
     carbon,
     out,
     fmt,
@@ -324,63 +319,43 @@ def compare(
     Repeat --days/--network/--consensus in matching order to compare several
     networks in one table.
     """
-
-    def body():
-        start = _date(from_, "--from")
-        end = _date(to_, "--to")
-        if len(networks) != len(consensuses):
-            raise _Failure(EXIT_IO, "--network and --consensus must repeat in matching pairs")
-        if remote is None and len(days_paths) != len(networks):
-            raise _Failure(EXIT_IO, "--days and --network must repeat in matching pairs")
-        rows = []
-        for index, network in enumerate(networks):
-            dataset = _load_dataset(
-                days_paths[index] if remote is None else None,
-                remote,
-                cache_dir,
-                network,
-                consensuses[index],
-                coin_decimals,
-                start,
-                end,
-            )
-            rows.append(report.build_comparison_row(dataset, start, end, with_carbon=carbon))
-        if fmt == "csv":
-            _emit(report.comparison_to_csv(rows, with_carbon=carbon, sig_digits=sig_digits), out)
-        else:
-            _emit(report.comparison_to_text(rows), out)
-
-    _run(body)
+    if len(networks) != len(consensuses):
+        raise _Failure(EXIT_IO, "--network and --consensus must repeat in matching pairs")
+    if remote is None and len(days_paths) != len(networks):
+        raise _Failure(EXIT_IO, "--days and --network must repeat in matching pairs")
+    rows = []
+    for index, network in enumerate(networks):
+        dataset = _load_dataset(
+            days_paths[index] if remote is None else None,
+            remote,
+            cache_dir,
+            network,
+            consensuses[index],
+            coin_decimals,
+            start,
+            end,
+        )
+        rows.append(report.build_comparison_row(dataset, start, end, with_carbon=carbon))
+    if fmt == "csv":
+        _emit(report.comparison_to_csv(rows, with_carbon=carbon, sig_digits=sig_digits), out)
+    else:
+        _emit(report.comparison_to_text(rows), out)
 
 
 @main.command()
+@_reads_days
 @click.option("--days", type=click.Path(exists=True, dir_okay=False))
-@click.option("--remote", help="Remote index base URL instead of --days.")
-@click.option("--cache-dir", type=click.Path(file_okay=False))
 @click.option("--network", required=True)
 @click.option("--consensus", type=click.Choice(["pow", "pos"]), required=True)
-@click.option("--coin-decimals", type=int, default=ingestion.DEFAULT_COIN_DECIMALS, show_default=True)
-@click.option("--from", "from_", help="First day (ISO-8601), inclusive.")
-@click.option("--to", "to_", help="Last day (ISO-8601), inclusive.")
-@click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--sig-digits", type=_SIG_DIGITS, default=DEFAULT_SIG_DIGITS, show_default=True)
-def series(days, remote, cache_dir, network, consensus, coin_decimals, from_, to_, out, fmt, sig_digits):
+def series(start, end, days, remote, cache_dir, network, consensus, coin_decimals, out, fmt, sig_digits):
     """Per-day hybrid transaction weight as a plottable series."""
-
-    def body():
-        start = _date(from_, "--from")
-        end = _date(to_, "--to")
-        dataset = _load_dataset(
-            days, remote, cache_dir, network, consensus, coin_decimals, start, end
-        )
-        rows = report.series_rows(dataset, start, end)
-        if fmt == "csv":
-            _emit(report.series_to_csv(rows, sig_digits), out)
-        else:
-            _emit(json.dumps(report.series_to_json(rows, sig_digits), indent=2) + "\n", out)
-
-    _run(body)
+    dataset = _load_dataset(days, remote, cache_dir, network, consensus, coin_decimals, start, end)
+    rows = report.series_rows(dataset, start, end)
+    if fmt == "csv":
+        _emit(report.series_to_csv(rows, sig_digits), out)
+    else:
+        _emit(json.dumps(report.series_to_json(rows, sig_digits), indent=2) + "\n", out)
 
 
 if __name__ == "__main__":

@@ -207,11 +207,10 @@ def _holding_result(plan: DayPlan, holding: HoldingRecord) -> AllocationResult:
     return plan.result(Activity.HOLDING, holding.entity_id, amount / effective, "holding")
 
 
-def _transaction_result(plan: DayPlan, tx: TransactionRecord, kind: Consensus) -> AllocationResult:
-    if plan.count_total == 0:
-        raise NoTransactions(f"{plan.day.date}: transaction record exists but the day reports none")
-    basis, share = transaction_basis(tx, kind, plan.fee_total, plan.gas_total, plan.count_total)
-    return plan.result(Activity.TRANSACTION, tx.entity_id, share, basis)
+def transaction_result(plan: DayPlan, tx: TransactionRecord, kind: Consensus) -> AllocationResult:
+    """The record's share of the transaction pool, on the basis ``transaction_quantities`` picks."""
+    basis, quantity, total = transaction_quantities(tx, kind, plan.fee_total, plan.gas_total, plan.count_total)
+    return plan.result(Activity.TRANSACTION, tx.entity_id, Fraction(quantity, total), basis)
 
 
 def allocate_holding(
@@ -229,35 +228,43 @@ def allocate_holding(
     return _holding_result(plan_day(day, weights, method, scope), holding)
 
 
-def transaction_basis(
+# The record attribute each basis reads its quantity from.
+_BASIS_COLUMNS = {"fee": "fee_paid", "gas": "gas_used", "count": "tx_count"}
+
+
+def transaction_quantities(
     tx: TransactionRecord,
     kind: Consensus,
     fee_total: Fraction | None,
     gas_total: Fraction | None,
     count_total: int,
-) -> tuple[str, Fraction]:
-    """Pick the first usable basis in the consensus-specific hierarchy.
+) -> tuple[str, Fraction | int, Fraction | int]:
+    """The first usable basis in the consensus-specific hierarchy: (basis name, quantity, total).
 
-    A basis is usable when the record carries the numerator and the day (or
-    app) carries a positive denominator. Returns (basis name, entity share).
+    A basis is usable when the record carries the quantity and the day (or
+    app) carries a positive total. Raises NoTransactions on a day that
+    reports no transactions (an app checks its own count first),
+    ShareOverflow (with the quantity's ``column``) when the quantity exceeds
+    the total, and BasisUnavailable when no basis is usable. The bound
+    compares integers, so a check that divides nothing (the join) builds no
+    share.
     """
+    if count_total == 0:
+        raise NoTransactions(f"{tx.date}: transaction record exists but the day reports none")
     for basis in _BASIS_ORDER[kind]:
         if basis == "fee" and tx.fee_paid is not None and fee_total:
-            numerator: Fraction = tx.fee_paid.value
-            denominator = fee_total
+            quantity, total = tx.fee_paid.value, fee_total
         elif basis == "gas" and tx.gas_used is not None and gas_total:
-            numerator = tx.gas_used
-            denominator = gas_total
-        elif basis == "count" and tx.tx_count is not None and count_total > 0:
-            numerator = Fraction(tx.tx_count)
-            denominator = Fraction(count_total)
+            quantity, total = tx.gas_used, gas_total
+        elif basis == "count" and tx.tx_count is not None:
+            quantity, total = tx.tx_count, count_total
         else:
             continue
-        if numerator > denominator:
+        if quantity.numerator * total.denominator > total.numerator * quantity.denominator:
             raise ShareOverflow(
-                f"{tx.entity_id}: {basis} quantity {numerator} exceeds total {denominator}"
+                f"{tx.entity_id}: {basis} quantity {quantity} exceeds total {total}", _BASIS_COLUMNS[basis]
             )
-        return basis, numerator / denominator
+        return basis, quantity, total
     raise BasisUnavailable(
         f"{tx.entity_id} on {tx.date}: no fee, gas, or count basis can be formed"
     )
@@ -276,7 +283,7 @@ def allocate_transaction(
         raise ValueError(f"transaction dated {tx.date} does not match day {day.date}")
     if method not in (Method.TRANSACTION_BASED, Method.HYBRID):
         raise ValueError(f"transactions are not allocated under {method.value}-based accounting")
-    return _transaction_result(plan_day(day, weights, method, scope), tx, params.kind)
+    return transaction_result(plan_day(day, weights, method, scope), tx, params.kind)
 
 
 @dataclass(frozen=True)
@@ -421,7 +428,7 @@ def allocate_portfolio(
     if method is not Method.TRANSACTION_BASED:
         results += [_holding_result(plan_for(h.date), h) for h in portfolio.holdings]
     if method is not Method.HOLDING_BASED:
-        results += [_transaction_result(plan_for(t.date), t, params.kind) for t in portfolio.transactions]
+        results += [transaction_result(plan_for(t.date), t, params.kind) for t in portfolio.transactions]
 
     results.sort(key=AllocationResult.sort_key)
     summary = PeriodSummary(

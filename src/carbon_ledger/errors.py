@@ -18,7 +18,11 @@ class MissingColumn(CarbonLedgerError):
 
 
 class ShareOverflow(CarbonLedgerError):
-    """An entity's basis quantity exceeds the available pool denominator."""
+    """An entity's basis quantity exceeds the available pool denominator (``column``: its name, if known)."""
+
+    def __init__(self, message: str, column: str | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 class NoTransactions(CarbonLedgerError):

@@ -35,8 +35,11 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
+from . import engine
 from .apps import AppDay, TokenHolding
-from .errors import DatasetInvalid, SchemaMismatch, ValidationIssue
+from .errors import (
+    BasisUnavailable, DatasetInvalid, NoTransactions, SchemaMismatch, ShareOverflow, ValidationIssue
+)
 from .layer2 import Layer2Day
 from .model import (
     CoinAmount,
@@ -202,9 +205,14 @@ def _is_digits(token: str) -> bool:
 
 def _count(value: Any, column: str, coin_decimals: int) -> int | None:
     token = _token(value, column)
-    if token is not None and not _is_digits(token):
+    if token is None:
+        return None
+    if not _is_digits(token):
         raise RowProblem(column, f"not a non-negative integer: {token!r}")
-    return None if token is None else int(token)
+    try:
+        return int(token)
+    except ValueError:  # beyond the interpreter's integer digit limit
+        raise RowProblem(column, f"integer of {len(token)} digits is too long") from None
 
 
 def _date(value: Any, column: str, coin_decimals: int) -> _dt.date | None:
@@ -490,7 +498,7 @@ def _json_document(text: str | Any, source: str) -> dict[str, Any]:
         try:
             with bulk():
                 document = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a number beyond the integer digit limit
             raise SchemaMismatch(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SchemaMismatch(f"{source}: top level must be an object")
@@ -693,7 +701,7 @@ def decode_json_file(path: str | Path) -> tuple[str, Callable[[ConsensusParams, 
     try:
         with bulk():
             document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # as in _json_document
         raise mismatch(f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise mismatch("top level must be an object")
@@ -767,9 +775,20 @@ def join_issues(
                 net = f"coin supply net of lost coins {bound[2]} on {holding.date}"
                 reason = f"{holding.entity_id}: amount {amount} exceeds {net}"
                 join_issue("portfolio.holdings", reason, "amount")
+        kind = dataset.consensus.kind
         for tx in portfolio.transactions:
-            if tx.date not in day_map:
+            day = day_map.get(tx.date)
+            if day is None:
                 no_day("portfolio.transactions", tx.entity_id, tx.date)
+                continue
+            # the engine's basis choice and bound, without the share
+            fees = day.tx_fees_total.value if day.tx_fees_total is not None else None
+            try:
+                engine.transaction_quantities(tx, kind, fees, day.gas_total, day.tx_count)
+            except ShareOverflow as exc:
+                join_issue("portfolio.transactions", str(exc), exc.column)
+            except (NoTransactions, BasisUnavailable) as exc:
+                join_issue("portfolio.transactions", str(exc), "date")
     return issues
 
 

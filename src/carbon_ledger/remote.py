@@ -134,7 +134,7 @@ class RemoteDayClient:
             raise Unreachable(f"{url}: {exc}") from None
         try:
             document = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a number beyond the integer digit limit
             raise MalformedResponse(f"{url}: not valid JSON: {exc}") from None
         if not isinstance(document, dict) or not isinstance(document.get("days"), list):
             raise MalformedResponse(f"{url}: expected an object with a 'days' array")

@@ -11,6 +11,7 @@ energy/tx_count on constant data.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import json
 import re
@@ -31,6 +32,7 @@ from .model import (
     HoldingRecord,
     Method,
     NetworkDay,
+    Portfolio,
     TransactionRecord,
 )
 from .numeric import DEFAULT_SIG_DIGITS, format_sig, format_sig_shifted
@@ -74,129 +76,68 @@ def _select_days(
     return days
 
 
-class _CellAccumulator:
-    """Mean energy/carbon over contributing days."""
-
-    def __init__(self):
-        self.energy_wh = Fraction(0)
-        self.carbon_g: Fraction | None = Fraction(0)
-        self.days = 0
-
-    def add(self, result: AllocationResult) -> None:
-        self.energy_wh += result.energy.wh
-        self.days += 1
-        if self.carbon_g is not None and result.carbon is not None:
-            self.carbon_g += result.carbon.grams
-        else:
-            self.carbon_g = None
-
-    def mean_energy(self) -> Energy | None:
-        if self.days == 0:
-            return None
-        return Energy(self.energy_wh / self.days)
-
-    def mean_carbon(self) -> Carbon | None:
-        if self.days == 0 or self.carbon_g is None:
-            return None
-        return Carbon(self.carbon_g / self.days)
-
-
 def build_comparison_row(
     dataset: Dataset,
     start: _dt.date | None = None,
     end: _dt.date | None = None,
     with_carbon: bool = False,
 ) -> ComparisonRow:
-    """Average the one-coin and one-transaction cells over the day range.
+    """Allocate one coin held and one transaction made on every day of the range, under each method.
 
-    Days reporting zero transactions contribute to the holding cells only;
-    the average transaction is undefined there.
+    Each cell is the daily mean energy of that activity in that method's
+    allocation. Days reporting zero transactions carry no transaction, so
+    they count for the holding cells only; the average transaction is
+    undefined there.
     """
     days = _select_days(dataset, start, end)
-    cells = {
-        (Method.HOLDING_BASED, Activity.HOLDING): _CellAccumulator(),
-        (Method.TRANSACTION_BASED, Activity.TRANSACTION): _CellAccumulator(),
-        (Method.HYBRID, Activity.HOLDING): _CellAccumulator(),
-        (Method.HYBRID, Activity.TRANSACTION): _CellAccumulator(),
+    portfolio = Portfolio(
+        dataset.network_id,
+        holdings=tuple(HoldingRecord("one-coin", day.date, CoinAmount(1)) for day in days),
+        transactions=tuple(
+            TransactionRecord("one-transaction", day.date, tx_count=1) for day in days if day.tx_count > 0
+        ),
+    )
+    # hybrid first: it checks each day's weights and then its holding bound, in date order,
+    # so the earliest bad day is the one reported
+    allocations = {
+        method: engine.allocate_portfolio(days, dataset.consensus, portfolio, method)
+        for method in (Method.HYBRID, Method.HOLDING_BASED, Method.TRANSACTION_BASED)
     }
-    for day in days:
-        weights = engine.method_weights(day, dataset.consensus)
-        one_coin = HoldingRecord(entity_id="one-coin", date=day.date, amount=CoinAmount(1))
-        for method in (Method.HOLDING_BASED, Method.HYBRID):
-            cells[(method, Activity.HOLDING)].add(
-                engine.allocate_holding(day, weights, one_coin, method)
-            )
-        if day.tx_count > 0:
-            one_tx = TransactionRecord(entity_id="one-transaction", date=day.date, tx_count=1)
-            for method in (Method.TRANSACTION_BASED, Method.HYBRID):
-                cells[(method, Activity.TRANSACTION)].add(
-                    engine.allocate_transaction(day, weights, one_tx, method, dataset.consensus)
-                )
+    cells = {}
+    for method, activity, name, _ in _CELLS:
+        if name not in _ROW_FIELDS:
+            continue  # N/A: the method does not allocate this activity
+        allocation = allocations[method]
+        summary = allocation.summary.holding if activity is Activity.HOLDING else allocation.summary.transaction
+        cells[name] = summary.daily_mean_energy if summary is not None else None
+        # the summary's total leaves out days without a factor; such a day empties the cell
+        if with_carbon and summary is not None and all(
+            r.carbon is not None for r in allocation.results if r.activity is activity
+        ):
+            cells[f"{name}_carbon"] = Carbon(summary.total_carbon.grams / summary.days_covered)
+    return ComparisonRow(network_id=dataset.network_id, days_covered=len(days), **cells)
 
-    def cell(method: Method, activity: Activity) -> Energy | None:
-        return cells[(method, activity)].mean_energy()
 
-    def carbon_cell(method: Method, activity: Activity) -> Carbon | None:
-        if not with_carbon:
-            return None
-        return cells[(method, activity)].mean_carbon()
-
-    holding_pure = cell(Method.HOLDING_BASED, Activity.HOLDING)
-    hybrid_holding = cell(Method.HYBRID, Activity.HOLDING)
-    assert holding_pure is not None and hybrid_holding is not None
-    return ComparisonRow(
-        network_id=dataset.network_id,
-        days_covered=len(days),
-        holding_based_holding=holding_pure,
-        transaction_based_tx=cell(Method.TRANSACTION_BASED, Activity.TRANSACTION),
-        hybrid_holding=hybrid_holding,
-        hybrid_tx=cell(Method.HYBRID, Activity.TRANSACTION),
-        holding_based_holding_carbon=carbon_cell(Method.HOLDING_BASED, Activity.HOLDING),
-        transaction_based_tx_carbon=carbon_cell(Method.TRANSACTION_BASED, Activity.TRANSACTION),
-        hybrid_holding_carbon=carbon_cell(Method.HYBRID, Activity.HOLDING),
-        hybrid_tx_carbon=carbon_cell(Method.HYBRID, Activity.TRANSACTION),
+# The table's six cells in order, per method holding then transaction:
+# (method, activity, name, heading). A cell is N/A where ComparisonRow has no
+# field of its name; the CSV columns are the names plus a unit.
+_CELLS = tuple(
+    (method, activity, f"{prefix}_{suffix}", f"{prefix.replace('_', '-')}/{suffix}")
+    for method, prefix in (
+        (Method.HOLDING_BASED, "holding_based"),
+        (Method.TRANSACTION_BASED, "transaction_based"),
+        (Method.HYBRID, "hybrid"),
     )
-
-
-_COMPARISON_ENERGY_COLUMNS = (
-    "holding_based_holding_kwh",
-    "holding_based_tx_kwh",
-    "transaction_based_holding_kwh",
-    "transaction_based_tx_kwh",
-    "hybrid_holding_kwh",
-    "hybrid_tx_kwh",
+    for activity, suffix in ((Activity.HOLDING, "holding"), (Activity.TRANSACTION, "tx"))
 )
-_COMPARISON_CARBON_COLUMNS = (
-    "holding_based_holding_g",
-    "holding_based_tx_g",
-    "transaction_based_holding_g",
-    "transaction_based_tx_g",
-    "hybrid_holding_g",
-    "hybrid_tx_g",
-)
+_ROW_FIELDS = {field.name for field in dataclasses.fields(ComparisonRow)}
+_COMPARISON_ENERGY_COLUMNS = tuple(f"{name}_kwh" for _, _, name, _ in _CELLS)
+_COMPARISON_CARBON_COLUMNS = tuple(f"{name}_g" for _, _, name, _ in _CELLS)
 
 
-def _energy_cells(row: ComparisonRow) -> tuple[Energy | None, ...]:
-    # Table order: per method, holding then transaction; None marks N/A.
-    return (
-        row.holding_based_holding,
-        None,
-        None,
-        row.transaction_based_tx,
-        row.hybrid_holding,
-        row.hybrid_tx,
-    )
-
-
-def _carbon_cells(row: ComparisonRow) -> tuple[Carbon | None, ...]:
-    return (
-        row.holding_based_holding_carbon,
-        None,
-        None,
-        row.transaction_based_tx_carbon,
-        row.hybrid_holding_carbon,
-        row.hybrid_tx_carbon,
-    )
+def _cells(row: ComparisonRow, suffix: str = "") -> list:
+    """The row's energy (with ``_carbon``, carbon) cells in table order; None marks N/A or empty."""
+    return [getattr(row, name + suffix, None) for _, _, name, _ in _CELLS]
 
 
 _CSV_SPECIAL = re.compile(r'[",\r\n]')
@@ -228,10 +169,10 @@ def comparison_to_csv(
     lines = [",".join(header)]
     for row in rows:
         cells = [row.network_id]
-        for energy in _energy_cells(row):
+        for energy in _cells(row):
             cells.append(format_sig(energy.value_in("kWh"), sig_digits) if energy else "")
         if with_carbon:
-            for carbon in _carbon_cells(row):
+            for carbon in _cells(row, "_carbon"):
                 cells.append(format_sig(carbon.grams, sig_digits) if carbon else "")
         lines.append(_csv_line(cells))
     return "\n".join(lines) + "\n"
@@ -239,7 +180,7 @@ def comparison_to_csv(
 
 def _display_unit(row: ComparisonRow) -> str:
     """Largest unit keeping the smallest nonzero cell at or above 0.05."""
-    values = [e.wh for e in _energy_cells(row) if e is not None and e.wh > 0]
+    values = [e.wh for e in _cells(row) if e is not None and e.wh > 0]
     if not values:
         return "Wh"
     smallest = min(values)
@@ -251,20 +192,12 @@ def _display_unit(row: ComparisonRow) -> str:
 
 def comparison_to_text(rows: list[ComparisonRow]) -> str:
     """Aligned text table, four significant digits, '-' where N/A."""
-    headers = (
-        "network",
-        "holding-based/holding",
-        "holding-based/tx",
-        "transaction-based/holding",
-        "transaction-based/tx",
-        "hybrid/holding",
-        "hybrid/tx",
-    )
+    headers = ("network", *(heading for _, _, _, heading in _CELLS))
     table = [list(headers)]
     for row in rows:
         unit = _display_unit(row)
         rendered = [row.network_id]
-        for energy in _energy_cells(row):
+        for energy in _cells(row):
             if energy is None:
                 rendered.append("-")
             else:

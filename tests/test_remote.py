@@ -163,6 +163,14 @@ class TestFetchDays:
         with pytest.raises(MalformedResponse):
             client.fetch_days("bitcoin", START, END)
 
+    def test_number_beyond_digit_limit_is_malformed(self, index_server, tmp_path):
+        # json.loads raises a ValueError that is not a JSONDecodeError past 4,300 digits
+        index_server.config["body"] = '{"schema_version": "1", "days": [' + "1" * 5000 + "]}"
+        client = make_client(index_server, tmp_path)
+        with pytest.raises(MalformedResponse) as excinfo:
+            client.fetch_days("bitcoin", START, END)
+        assert "not valid JSON" in str(excinfo.value)
+
     def test_row_failing_invariants(self, index_server, tmp_path):
         bad = day_object(START)
         bad["energy_wh"] = "-5"
