@@ -11,8 +11,10 @@ import dataclasses
 import datetime as _dt
 import functools
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -93,11 +95,33 @@ def _run(body) -> None:
         sys.exit(next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)))
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None, summary: str | None = None) -> None:
+    """Write a document chunk by chunk as it is rendered: to stdout, or to ``--out``.
+
+    With ``--out``, the document (and ``summary``, the ``--out F.summary.json``
+    sidecar) goes to a temp file beside its target, and only a complete write
+    renames the temps into place; a failed one removes them, so no half file
+    is left. Without ``--out``, the sidecar is not written.
+    """
     if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
+        return
+    files = {Path(out): chunks}
+    if summary is not None:
+        files[Path(f"{out}.summary.json")] = (summary,)
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    try:
+        for path, parts in files.items():
+            with open(temps[path], "w", encoding="utf-8") as handle:
+                for chunk in parts:
+                    handle.write(chunk)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
 
 
 def _load_dataset(
@@ -153,7 +177,7 @@ def validate(paths, network, consensus, coin_decimals, json_report):
     def body():
         params = ConsensusParams(Consensus(consensus))
         issues: list[ValidationIssue] = []
-        dataset: Dataset | None = None
+        day_files: list[tuple[str, Dataset]] = []
         loaded = {"portfolio": [], "apps": [], "l2s": []}  # document kind → its files, loaded
 
         def collect(loader):
@@ -174,6 +198,8 @@ def validate(paths, network, consensus, coin_decimals, json_report):
                 dataset = collect(
                     lambda: ingestion.load_network_csv(path, network, params, coin_decimals)
                 )
+                if dataset is not None:
+                    day_files.append((path.name, dataset))
                 continue
             try:
                 kind, load = ingestion.decode_json_file(path)
@@ -184,6 +210,7 @@ def validate(paths, network, consensus, coin_decimals, json_report):
             if document is not None:
                 loaded[kind].append(document)
 
+        dataset = _all_days(day_files, issues)
         if dataset is not None:
             # every app and L2 file joins as one registry, then each portfolio on its own
             bundles = loaded["apps"]
@@ -211,6 +238,25 @@ def validate(paths, network, consensus, coin_decimals, json_report):
             sys.exit(EXIT_VALIDATION)
 
     _run(body)
+
+
+def _all_days(day_files: list[tuple[str, Dataset]], issues: list[ValidationIssue]) -> Dataset | None:
+    """The days of every loaded days CSV as one dataset, each file given as ``(name, dataset)``.
+
+    A date that an earlier file already gave is a ``duplicate_date`` issue of
+    the later file, whose day is dropped; one file is returned as it is.
+    """
+    if len(day_files) < 2:
+        return day_files[0][1] if day_files else None
+    days, first_file = {}, {}
+    for name, dataset in day_files:
+        for day in dataset.days:
+            if day.date in days:
+                reason = f"duplicate date {day.date}, also in {first_file[day.date]}"
+                issues.append(ValidationIssue(name, "duplicate_date", reason, column="date"))
+            else:
+                days[day.date], first_file[day.date] = day, name
+    return dataclasses.replace(day_files[0][1], days=tuple(days[date] for date in sorted(days)))
 
 
 # Declared alike by every command that reads days.
@@ -282,15 +328,16 @@ def allocate(
     if issues:
         raise DatasetInvalid(issues)
     allocation = engine.allocate_portfolio(day_list, dataset.consensus, selected, _METHODS[method])
+    # from here on only rendering runs, and it cannot fail: nothing is written before this point
     if fmt == "json":
-        _emit(report.allocation_to_json(dataset.network_id, allocation, sig_digits, carbon), out)
+        _emit(report.allocation_json_chunks(dataset.network_id, allocation, sig_digits, carbon), out)
     else:
-        _emit(report.results_to_csv(allocation.results, sig_digits, with_carbon=carbon), out)
         summary_obj = report.summary_to_obj(allocation.summary, sig_digits, with_carbon=carbon)
-        if out is not None:
-            Path(f"{out}.summary.json").write_text(
-                json.dumps(summary_obj, indent=2) + "\n", encoding="utf-8"
-            )
+        _emit(
+            report.results_csv_chunks(allocation.results, sig_digits, with_carbon=carbon),
+            out,
+            summary=json.dumps(summary_obj, indent=2) + "\n",
+        )
 
 
 @main.command()
@@ -337,9 +384,9 @@ def compare(
         )
         rows.append(report.build_comparison_row(dataset, start, end, with_carbon=carbon))
     if fmt == "csv":
-        _emit(report.comparison_to_csv(rows, with_carbon=carbon, sig_digits=sig_digits), out)
+        _emit((report.comparison_to_csv(rows, with_carbon=carbon, sig_digits=sig_digits),), out)
     else:
-        _emit(report.comparison_to_text(rows), out)
+        _emit((report.comparison_to_text(rows),), out)
 
 
 @main.command()
@@ -353,9 +400,9 @@ def series(start, end, days, remote, cache_dir, network, consensus, coin_decimal
     dataset = _load_dataset(days, remote, cache_dir, network, consensus, coin_decimals, start, end)
     rows = report.series_rows(dataset, start, end)
     if fmt == "csv":
-        _emit(report.series_to_csv(rows, sig_digits), out)
+        _emit((report.series_to_csv(rows, sig_digits),), out)
     else:
-        _emit(json.dumps(report.series_to_json(rows, sig_digits), indent=2) + "\n", out)
+        _emit((json.dumps(report.series_to_json(rows, sig_digits), indent=2) + "\n",), out)
 
 
 if __name__ == "__main__":

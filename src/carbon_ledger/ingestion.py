@@ -516,7 +516,10 @@ def _read(path: str | Path | Decoded) -> tuple[Any, str]:
     if isinstance(path, Decoded):
         return path.document, path.name
     path = Path(path)
-    return path.read_text(encoding="utf-8"), path.name
+    try:
+        return path.read_text(encoding="utf-8"), path.name
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{path.name}: not UTF-8 text: {exc}") from None
 
 
 def _day(values: dict[str, Any], consensus: ConsensusParams) -> NetworkDay:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as _dt
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -296,14 +297,34 @@ def _result_rows(
         ]
 
 
+# Results per chunk of a streamed result document: a writer holds one chunk
+# (about 120 KB of JSON) at a time, never the whole document.
+CHUNK_ROWS = 256
+
+
+def _batches(items: Iterable) -> Iterator[list]:
+    iterator = iter(items)
+    while batch := list(itertools.islice(iterator, CHUNK_ROWS)):
+        yield batch
+
+
+def results_csv_chunks(
+    results: Iterable[AllocationResult],
+    sig_digits: int = DEFAULT_SIG_DIGITS,
+    with_carbon: bool = True,
+) -> Iterator[str]:
+    """The result CSV as text chunks: the header, then ``CHUNK_ROWS`` lines at a time."""
+    yield ",".join(_RESULT_COLUMNS) + "\n"
+    for batch in _batches(_result_rows(results, sig_digits, with_carbon)):
+        yield "".join(_csv_line(cells) + "\n" for cells in batch)
+
+
 def results_to_csv(
     results: tuple[AllocationResult, ...] | list[AllocationResult],
     sig_digits: int = DEFAULT_SIG_DIGITS,
     with_carbon: bool = True,
 ) -> str:
-    lines = [",".join(_RESULT_COLUMNS)]
-    lines += [_csv_line(cells) for cells in _result_rows(results, sig_digits, with_carbon)]
-    return "\n".join(lines) + "\n"
+    return "".join(results_csv_chunks(results, sig_digits, with_carbon))
 
 
 def _activity_summary_obj(
@@ -353,36 +374,55 @@ _JSON_RESULT = (
 )
 
 
+def _json_results(results: Iterable[AllocationResult], sig_digits: int, with_carbon: bool) -> Iterator[str]:
+    """Each result as its object in the document."""
+    for cells in _result_rows(results, sig_digits, with_carbon):
+        cells[_ENTITY] = _json_str(cells[_ENTITY])
+        cells[_CARBON] = f'"{cells[_CARBON]}"' if cells[_CARBON] else "null"
+        cells[_BASIS] = _json_str(cells[_BASIS])
+        cells[_SOURCE] = _json_str(cells[_SOURCE]) if cells[_SOURCE] else "null"
+        cells[_SCOPE] = _json_str(cells[_SCOPE])
+        yield _JSON_RESULT % tuple(cells)
+
+
+def allocation_json_chunks(
+    network_id: str,
+    allocation: engine.PortfolioAllocation,
+    sig_digits: int = DEFAULT_SIG_DIGITS,
+    with_carbon: bool = True,
+) -> Iterator[str]:
+    """The result document as text chunks of ``CHUNK_ROWS`` results, joined as ``allocation_to_json``.
+
+    The document is byte for byte what ``json.dumps(obj, indent=2) + "\\n"``
+    writes. Each result is written into one fixed-shape template instead of
+    building a dict per row for ``json`` (whose pure-Python encoder runs when
+    ``indent`` is set); the summary, a dozen cells, still goes through
+    ``json.dumps``. The head rides on the first chunk and the summary on the
+    last.
+    """
+    head = (
+        f'{{\n  "schema_version": "1",\n  "network_id": {_json_str(network_id)},\n'
+        f'  "method": "{allocation.method.value}",\n  "results": ['
+    )
+    written = False
+    for batch in _batches(_json_results(allocation.results, sig_digits, with_carbon)):
+        yield (",\n" if written else head + "\n") + ",\n".join(batch)
+        written = True
+    summary = json.dumps(summary_to_obj(allocation.summary, sig_digits, with_carbon), indent=2)
+    # json.dumps escapes line breaks inside strings, so every "\n" here is layout
+    summary = summary.replace("\n", "\n  ")
+    close = "\n  ]" if written else head + "]"
+    yield f'{close},\n  "summary": {summary}\n}}\n'
+
+
 def allocation_to_json(
     network_id: str,
     allocation: engine.PortfolioAllocation,
     sig_digits: int = DEFAULT_SIG_DIGITS,
     with_carbon: bool = True,
 ) -> str:
-    """The result document, byte for byte as ``json.dumps(obj, indent=2) + "\\n"`` writes it.
-
-    Each result is written into one fixed-shape template instead of building
-    a dict per row for ``json`` (whose pure-Python encoder runs when
-    ``indent`` is set); the summary, a dozen cells, still goes through
-    ``json.dumps``.
-    """
-    rows = []
-    for cells in _result_rows(allocation.results, sig_digits, with_carbon):
-        cells[_ENTITY] = _json_str(cells[_ENTITY])
-        cells[_CARBON] = f'"{cells[_CARBON]}"' if cells[_CARBON] else "null"
-        cells[_BASIS] = _json_str(cells[_BASIS])
-        cells[_SOURCE] = _json_str(cells[_SOURCE]) if cells[_SOURCE] else "null"
-        cells[_SCOPE] = _json_str(cells[_SCOPE])
-        rows.append(_JSON_RESULT % tuple(cells))
-    results = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    summary = json.dumps(summary_to_obj(allocation.summary, sig_digits, with_carbon), indent=2)
-    # json.dumps escapes line breaks inside strings, so every "\n" here is layout
-    summary = summary.replace("\n", "\n  ")
-    return (
-        f'{{\n  "schema_version": "1",\n  "network_id": {_json_str(network_id)},\n'
-        f'  "method": "{allocation.method.value}",\n  "results": {results},\n'
-        f'  "summary": {summary}\n}}\n'
-    )
+    """The result document, byte for byte as ``json.dumps(obj, indent=2) + "\\n"`` writes it."""
+    return "".join(allocation_json_chunks(network_id, allocation, sig_digits, with_carbon))
 
 
 def allocation_to_json_obj(
