@@ -12,6 +12,7 @@ import datetime as _dt
 import functools
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -99,25 +100,34 @@ def _emit(chunks: Iterable[str], out: str | None, summary: str | None = None) ->
     """Write a document chunk by chunk as it is rendered: to stdout, or to ``--out``.
 
     With ``--out``, the document (and ``summary``, the ``--out F.summary.json``
-    sidecar) goes to a temp file beside its target, and only a complete write
-    renames the temps into place; a failed one removes them, so no half file
-    is left. Without ``--out``, the sidecar is not written.
+    sidecar) goes to a temp file beside the file it replaces, the file a
+    symlink names rather than the link. Only once every file is written are
+    the temps renamed into place, one by one, each taking the mode of the file
+    it replaces; a failed write removes them, so no half file is left. A
+    target that exists but is not a regular file (a FIFO, ``/dev/stdout``) is
+    written in place. Without ``--out``, the sidecar is not written.
     """
     if out is None:
         for chunk in chunks:
             click.echo(chunk, nl=False)
         return
-    files = {Path(out): chunks}
+    files = {out: chunks}
     if summary is not None:
-        files[Path(f"{out}.summary.json")] = (summary,)
-    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+        files[f"{out}.summary.json"] = (summary,)
+    temps: dict[Path, Path] = {}  # a regular file → its temp
     try:
-        for path, parts in files.items():
-            with open(temps[path], "w", encoding="utf-8") as handle:
+        for name, parts in files.items():
+            path = Path(name)
+            if path.is_file() or not path.exists():
+                target = Path(os.path.realpath(path))
+                path = temps[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            with open(path, "w", encoding="utf-8") as handle:
                 for chunk in parts:
                     handle.write(chunk)
-        for path, temp in temps.items():
-            os.replace(temp, path)
+        for target, temp in temps.items():
+            if target.exists():
+                shutil.copymode(target, temp)
+            os.replace(temp, target)
     except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
@@ -244,10 +254,10 @@ def _all_days(day_files: list[tuple[str, Dataset]], issues: list[ValidationIssue
     """The days of every loaded days CSV as one dataset, each file given as ``(name, dataset)``.
 
     A date that an earlier file already gave is a ``duplicate_date`` issue of
-    the later file, whose day is dropped; one file is returned as it is.
+    the later file, whose day is dropped.
     """
-    if len(day_files) < 2:
-        return day_files[0][1] if day_files else None
+    if not day_files:
+        return None
     days, first_file = {}, {}
     for name, dataset in day_files:
         for day in dataset.days:

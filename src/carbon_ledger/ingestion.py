@@ -228,6 +228,10 @@ def _date(value: Any, column: str, coin_decimals: int) -> _dt.date | None:
 def _id(value: Any, column: str, coin_decimals: int) -> str:
     if not isinstance(value, str) or not value:
         raise RowProblem(column, "non-empty string required")
+    try:
+        value.encode("utf-8")  # a lone surrogate (JSON's "\ud800") has no UTF-8 form: no CSV could hold it
+    except UnicodeEncodeError:
+        raise RowProblem(column, f"not encodable as UTF-8: {value!r}") from None
     return value
 
 
@@ -261,7 +265,7 @@ class _Kind(NamedTuple):
 
 
 _DATE = _Kind(_date, _dt.date.isoformat, _inline("_iso_date(v) or {parse}", "v.__class__ is str"))
-_ID = _Kind(_id, str, "v if v.__class__ is str and v else {parse}")
+_ID = _Kind(_id, str, "v if v.__class__ is str and v and v.isascii() else {parse}")
 _DECIMAL = _Kind(
     lambda value, column, coin_decimals: _decimal(value, column), decimal_str, _inline(_QUOTIENT)
 )

@@ -2,8 +2,11 @@
 
 import datetime as dt
 import json
+import os
 import random
+import stat
 import tempfile
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -200,6 +203,41 @@ def test_out_replaces_an_existing_file_whole(tmp_path):
     cli._emit(iter(["a,b\n", "1,2\n"]), str(out), summary="{}\n")
     assert out.read_text() == "a,b\n1,2\n"
     assert (tmp_path / "r.csv.summary.json").read_text() == "{}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["r.csv", "r.csv.summary.json"]
+
+
+def test_out_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    real.chmod(0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    cli._emit(iter(["a,b\n", "1,2\n"]), str(link))
+    assert link.is_symlink()
+    assert real.read_text() == "a,b\n1,2\n"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_out_writes_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    cli._emit(iter(["a,b\n", "1,2\n"]), str(fifo))
+    reader.join(timeout=10)
+    assert read == ["a,b\n1,2\n"]
+    assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_a_sidecar_that_cannot_be_written_leaves_the_document_as_it_was(tmp_path):
+    out = tmp_path / "r.csv"
+    out.write_text("old\n")
+    (tmp_path / "r.csv.summary.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli._emit(iter(["a,b\n"]), str(out), summary="{}\n")
+    assert out.read_text() == "old\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["r.csv", "r.csv.summary.json"]
 
 

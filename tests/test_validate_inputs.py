@@ -121,3 +121,37 @@ def test_a_bad_csv_does_not_drop_the_days_of_a_good_one(runner, tmp_path):
         assert len(lines) == 2
         assert lines[0].startswith("bad.csv: not UTF-8 text:")
         assert lines[1] == "portfolio.holdings column 'date': h: no network day for 2021-02-01 [join_invalid]"
+
+
+LONE_SURROGATE = "\ud800"  # json.loads takes the escape "\ud800"; no UTF-8 text can hold it
+
+
+def _many_holdings_and(entity_id):
+    """301 holdings on one day, the last of them, in result order, held by ``entity_id``."""
+    holdings = [{"entity_id": f"e{index:03d}", "date": "2021-01-01", "amount": "0.1"} for index in range(300)]
+    return holdings + [{"entity_id": entity_id, "date": "2021-01-01", "amount": "0.1"}]
+
+
+def test_validate_reports_an_id_with_no_utf8_form(runner, tmp_path):
+    days = _days(tmp_path / "d.csv", "2021-01-01")
+    portfolio = write_portfolio(tmp_path / "p.json", holdings=_many_holdings_and(LONE_SURROGATE))
+    result = _validate(runner, days, portfolio, json_report=True)
+    assert result.exit_code == 1
+    (issue,) = json.loads(result.stdout)["issues"]
+    assert (issue["source"], issue["row"], issue["column"]) == ("p.json:holdings", 301, "entity_id")
+    assert issue["reason"] == "not encodable as UTF-8: '\\ud800'"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_allocate_with_an_id_with_no_utf8_form_writes_nothing(runner, tmp_path, fmt):
+    days = _days(tmp_path / "d.csv", "2021-01-01")
+    portfolio = write_portfolio(tmp_path / "p.json", holdings=_many_holdings_and(LONE_SURROGATE))
+    args = ["allocate", "--days", str(days), "--network", "btc", "--consensus", "pow",
+            "--portfolio", str(portfolio), "--method", "holding", "--format", fmt]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "not encodable as UTF-8" in result.stderr
+    # the same portfolio with a plain last id allocates: the rejection is the id's alone
+    write_portfolio(portfolio, holdings=_many_holdings_and("z"))
+    assert runner.invoke(main, args).exit_code == 0
