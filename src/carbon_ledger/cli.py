@@ -109,7 +109,7 @@ def _emit(chunks: Iterable[str], out: str | None, summary: str | None = None) ->
     """
     if out is None:
         for chunk in chunks:
-            click.echo(chunk, nl=False)
+            click.echo(chunk, nl=False, color=True)  # color: keep ANSI sequences, as --out does
         return
     files = {out: chunks}
     if summary is not None:
@@ -191,13 +191,10 @@ def validate(paths, network, consensus, coin_decimals, json_report):
         loaded = {"portfolio": [], "apps": [], "l2s": []}  # document kind → its files, loaded
 
         def collect(loader):
-            nonlocal issues
             try:
                 return loader()
             except SchemaMismatch as exc:
-                issues.append(
-                    ValidationIssue(source=str(exc), code="schema_mismatch", reason=str(exc))
-                )
+                issues.append(ValidationIssue(exc.source, "schema_mismatch", exc.reason))
             except DatasetInvalid as exc:
                 issues.extend(exc.issues)
             return None
@@ -210,14 +207,8 @@ def validate(paths, network, consensus, coin_decimals, json_report):
                 )
                 if dataset is not None:
                     day_files.append((path.name, dataset))
-                continue
-            try:
-                kind, load = ingestion.decode_json_file(path)
-            except DatasetInvalid as exc:
-                issues.extend(exc.issues)
-                continue
-            document = collect(lambda: load(params, coin_decimals))
-            if document is not None:
+            elif (json_file := collect(lambda: ingestion.load_json_file(path, params, coin_decimals))):
+                kind, document = json_file
                 loaded[kind].append(document)
 
         dataset = _all_days(day_files, issues)

@@ -76,7 +76,16 @@ class IngestionError(CarbonLedgerError):
 
 
 class SchemaMismatch(IngestionError):
-    """File header or top-level document shape does not match the schema."""
+    """File header or top-level document shape does not match the schema.
+
+    ``source`` names the file and ``reason`` says what is wrong; the message
+    is ``"<source>: <reason>"``.
+    """
+
+    def __init__(self, source: str, reason: str):
+        self.source = source
+        self.reason = reason
+        super().__init__(f"{source}: {reason}")
 
 
 class DatasetInvalid(IngestionError):

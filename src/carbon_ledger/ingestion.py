@@ -19,6 +19,10 @@ Documents are decoded and their records built inside ``bulk()``, with the
 cyclic garbage collector paused: those objects hold no cycles, and each
 full collection would otherwise rescan every record built so far. The CLI
 runs each whole command inside one such pause.
+
+A JSON file is decoded whole, and its text is freed before any row is read;
+each row is then dropped from the decoded tree as its record is built, so a
+load peaks at the decode, not at the tree plus every record.
 """
 
 from __future__ import annotations
@@ -476,54 +480,85 @@ def _collect(source: str, rows: Iterable[tuple[int, Any]], parse: Callable, issu
     return records
 
 
+def _released(rows: list) -> Iterator[tuple[int, Any]]:
+    """Each row of a JSON array with its 1-based number, dropped from the array as it is handed out.
+
+    Once its record is built nothing holds the row, so a load peaks at the
+    decoded tree, not at the tree plus every record.
+    """
+    for index in range(len(rows)):
+        row, rows[index] = rows[index], None
+        yield index + 1, row
+
+
 def _sections(document: dict[str, Any], source: str, **parsers: Callable) -> list[list]:
-    """Records of each named array of a JSON document, or every row's issue raised at once."""
+    """Records of each named array of a JSON document, or every row's issue raised at once.
+
+    Each row is dropped from the document once it is read.
+    """
     issues: list[ValidationIssue] = []
-    records = [
-        _collect(f"{source}:{key}", enumerate(document.get(key, []), start=1), parse, issues)
-        for key, parse in parsers.items()
-    ]
+    records = []
+    for key, parse in parsers.items():
+        rows = document.get(key, [])
+        if not isinstance(rows, list):
+            issues.append(ValidationIssue(f"{source}:{key}", "schema_mismatch", "must be an array"))
+            rows = []
+        records.append(_collect(f"{source}:{key}", _released(rows), parse, issues))
     if issues:
         raise DatasetInvalid(issues)
     return records
 
 
 class Decoded(NamedTuple):
-    """A JSON file already decoded; the ``load_*_json`` functions take it in place of its path."""
+    """A JSON file's top-level object, decoded; the ``load_*_json`` functions take it in place of its path.
+
+    It is single-use: a load drops each row of the document's sections as it
+    builds the row's record, so a second load would find only ``None`` rows.
+    """
 
     name: str
-    document: Any
+    document: dict[str, Any]
 
 
-def _json_document(text: str | Any, source: str) -> dict[str, Any]:
-    """The schema-checked document of a JSON text, or of an already decoded one."""
-    document = text
-    if isinstance(text, str):
-        try:
-            with bulk():
-                document = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or a number beyond the integer digit limit
-            raise SchemaMismatch(f"{source}: not valid JSON: {exc}") from None
+def _decode(text: str, source: str) -> dict[str, Any]:
+    """The top-level object of a JSON text."""
+    try:
+        with bulk():
+            document = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or a number beyond the integer digit limit
+        raise SchemaMismatch(source, f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
-        raise SchemaMismatch(f"{source}: top level must be an object")
-    version = document.get("schema_version")
-    if not isinstance(version, str) or not version:
-        raise SchemaMismatch(f"{source}: missing schema_version")
-    major = version.split(".", 1)[0]
-    if not _is_digits(major) or int(major) != SCHEMA_MAJOR:
-        raise SchemaMismatch(f"{source}: unsupported schema_version {version!r}")
+        raise SchemaMismatch(source, "top level must be an object")
     return document
 
 
-def _read(path: str | Path | Decoded) -> tuple[Any, str]:
-    """A file's text (a ``Decoded`` file's document) and its name, the source of its issues."""
-    if isinstance(path, Decoded):
-        return path.document, path.name
+def _json_document(text: str | dict[str, Any], source: str) -> dict[str, Any]:
+    """The schema-checked document of a JSON text, or of its top-level object already decoded."""
+    document = _decode(text, source) if isinstance(text, str) else text
+    version = document.get("schema_version")
+    if not isinstance(version, str) or not version:
+        raise SchemaMismatch(source, "missing schema_version")
+    major = version.split(".", 1)[0]
+    if not _is_digits(major) or int(major) != SCHEMA_MAJOR:
+        raise SchemaMismatch(source, f"unsupported schema_version {version!r}")
+    return document
+
+
+def _read(path: str | Path) -> tuple[str, str]:
+    """A file's text and its name, the source of its issues."""
     path = Path(path)
     try:
         return path.read_text(encoding="utf-8"), path.name
     except UnicodeDecodeError as exc:
-        raise SchemaMismatch(f"{path.name}: not UTF-8 text: {exc}") from None
+        raise SchemaMismatch(path.name, f"not UTF-8 text: {exc}") from None
+
+
+def _document(path: str | Path | Decoded) -> tuple[dict[str, Any], str]:
+    """A JSON file's top-level object and its name; the file's text is freed before any row is read."""
+    if isinstance(path, Decoded):
+        return path.document, path.name
+    text, name = _read(path)
+    return _decode(text, name), name
 
 
 def _day(values: dict[str, Any], consensus: ConsensusParams) -> NetworkDay:
@@ -566,11 +601,11 @@ def parse_network_csv(
     """Parse a network-day CSV document into a partial dataset (days only)."""
     lines = text.splitlines()
     if not lines:
-        raise SchemaMismatch(f"{source}: empty file")
+        raise SchemaMismatch(source, "empty file")
     header = tuple(lines[0].split(","))
     if header != NETWORK_CSV_COLUMNS:
         expected = ",".join(NETWORK_CSV_COLUMNS)
-        raise SchemaMismatch(f"{source}: header {','.join(header)!r} does not match {expected!r}")
+        raise SchemaMismatch(source, f"header {','.join(header)!r} does not match {expected!r}")
     seen: set[tuple] = set()
 
     def parse_line(line: str) -> NetworkDay:
@@ -595,12 +630,14 @@ def load_network_csv(
     return parse_network_csv(*_read(path), network_id, consensus, coin_decimals)
 
 
-def parse_portfolio_json(text: str, source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> Portfolio:
-    """Parse and validate a portfolio document."""
+def parse_portfolio_json(
+    text: str | dict[str, Any], source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS
+) -> Portfolio:
+    """Parse and validate a portfolio document: its JSON text, or its top-level object (see ``Decoded``)."""
     document = _json_document(text, source)
     network_id = document.get("network_id")
     if not isinstance(network_id, str) or not network_id:
-        raise SchemaMismatch(f"{source}: missing network_id")
+        raise SchemaMismatch(source, "missing network_id")
     holdings, transactions = _sections(
         document,
         source,
@@ -611,11 +648,13 @@ def parse_portfolio_json(text: str, source: str, coin_decimals: int = DEFAULT_CO
 
 
 def load_portfolio_json(path: str | Path | Decoded, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> Portfolio:
-    return parse_portfolio_json(*_read(path), coin_decimals)
+    return parse_portfolio_json(*_document(path), coin_decimals)
 
 
-def parse_apps_json(text: str, source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> AppBundle:
-    """Parse and validate an app registry document."""
+def parse_apps_json(
+    text: str | dict[str, Any], source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS
+) -> AppBundle:
+    """Parse and validate an app registry document: its JSON text, or its top-level object."""
     seen: set[tuple] = set()
 
     def parse_app(row: Any) -> AppDay:
@@ -633,13 +672,16 @@ def parse_apps_json(text: str, source: str, coin_decimals: int = DEFAULT_COIN_DE
 
 
 def load_apps_json(path: str | Path | Decoded, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> AppBundle:
-    return parse_apps_json(*_read(path), coin_decimals)
+    return parse_apps_json(*_document(path), coin_decimals)
 
 
 def parse_l2_json(
-    text: str, source: str, host_consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
+    text: str | dict[str, Any],
+    source: str,
+    host_consensus: ConsensusParams,
+    coin_decimals: int = DEFAULT_COIN_DECIMALS,
 ) -> L2Bundle:
-    """Parse and validate layer-2 descriptors.
+    """Parse and validate layer-2 descriptors: their JSON text, or its top-level object.
 
     Each entry may declare its own ``consensus`` (a PoS layer-2 can anchor
     to a PoW layer-1); entries without one are validated against the host's.
@@ -673,7 +715,7 @@ def parse_l2_json(
 def load_l2_json(
     path: str | Path | Decoded, host_consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> L2Bundle:
-    return parse_l2_json(*_read(path), host_consensus, coin_decimals)
+    return parse_l2_json(*_document(path), host_consensus, coin_decimals)
 
 
 # A JSON file's kind is named by the first of these top-level keys it has:
@@ -692,30 +734,18 @@ _JSON_KINDS: dict[str, tuple[str, Callable]] = {
 }
 
 
-def decode_json_file(path: str | Path) -> tuple[str, Callable[[ConsensusParams, int], Any]]:
-    """A JSON file's kind and the loader of its document, decoded once.
+def load_json_file(path: str | Path, consensus: ConsensusParams, coin_decimals: int) -> tuple[str, Any]:
+    """A JSON file's kind and what its kind's loader makes of it, the file decoded once.
 
-    The loader takes the host consensus and the coin decimals. Raises
-    DatasetInvalid with the file's one ``schema_mismatch`` issue when the
-    file is not valid JSON, its top level is not an object, or it has none
-    of the keys of ``_JSON_KINDS``.
+    ``consensus`` is the host's, for layer-2 entries. Raises SchemaMismatch
+    when the file is not UTF-8 JSON, its top level is not an object, or it
+    has none of the keys of ``_JSON_KINDS``.
     """
-    path = Path(path)
-
-    def mismatch(reason: str) -> DatasetInvalid:
-        return DatasetInvalid([ValidationIssue(path.name, "schema_mismatch", reason)])
-
-    try:
-        with bulk():
-            document = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # as in _json_document
-        raise mismatch(f"not valid JSON: {exc}") from None
-    if not isinstance(document, dict):
-        raise mismatch("top level must be an object")
+    document, name = _document(path)
     for key, (kind, load) in _JSON_KINDS.items():
         if key in document:
-            return kind, functools.partial(load, Decoded(path.name, document))
-    raise mismatch("unrecognized document kind")
+            return kind, load(Decoded(name, document), consensus, coin_decimals)
+    raise SchemaMismatch(name, "unrecognized document kind")
 
 
 def join_issues(

@@ -2,13 +2,17 @@
 
 import datetime as dt
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import carbon_ledger
 from carbon_ledger import serialize_network_csv, serialize_portfolio
 from carbon_ledger.cli import main
 from carbon_ledger.ingestion import NETWORK_CSV_COLUMNS
@@ -537,3 +541,21 @@ class TestSigDigitsOption:
         result = runner.invoke(main, ["series", *network_args(btc_csv), "--sig-digits", "1"])
         assert result.exit_code == 0, result.output
         assert result.output.splitlines()[1] == "2021-01-01,0.06"
+
+
+def test_stdout_keeps_the_bytes_of_out_when_it_is_no_terminal(tmp_path, btc_csv):
+    # an id holding an ANSI escape sequence: a CSV cell keeps the ESC byte, so stdout must too
+    portfolio = Portfolio(
+        "bitcoin", holdings=(HoldingRecord("a\x1b[31mred", dt.date(2021, 1, 1), CoinAmount(Fraction(1))),)
+    )
+    path = tmp_path / "portfolio.json"
+    path.write_text(serialize_portfolio(portfolio))
+    out = tmp_path / "out.csv"
+    args = ["allocate", *network_args(btc_csv), "--portfolio", str(path), "--method", "holding", "--format", "csv"]
+    src = str(Path(carbon_ledger.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "carbon_ledger.cli", *args]
+    printed = subprocess.run(command, env=env, capture_output=True, check=True)
+    subprocess.run([*command, "--out", str(out)], env=env, capture_output=True, check=True)
+    assert b"a\x1b[31mred," in printed.stdout
+    assert printed.stdout == out.read_bytes()

@@ -249,8 +249,8 @@ def sha256(text: str) -> str:
 
 EXPECTED_TEXT = {
     "malformed": """\
-header.csv: header 'date,energy' does not match 'date,energy_wh,block_reward,tx_fees_total,coin_supply,lost_coin_fraction,tx_count,gas_total,pos_tx_share,emission_factor_g_per_kwh': header.csv: header 'date,energy' does not match 'date,energy_wh,block_reward,tx_fees_total,coin_supply,lost_coin_fraction,tx_count,gas_total,pos_tx_share,emission_factor_g_per_kwh' [schema_mismatch]
-empty.csv: empty file: empty.csv: empty file [schema_mismatch]
+header.csv: header 'date,energy' does not match 'date,energy_wh,block_reward,tx_fees_total,coin_supply,lost_coin_fraction,tx_count,gas_total,pos_tx_share,emission_factor_g_per_kwh' [schema_mismatch]
+empty.csv: empty file [schema_mismatch]
 days.csv row 2: expected 10 cells, got 5 [row_invalid]
 days.csv row 3 column 'date': duplicate date 2021-01-01 [duplicate_date]
 days.csv row 4 column 'date': duplicate date 2021-01-01 [duplicate_date]
@@ -293,7 +293,7 @@ portfolio.json:transactions row 11 column 'entity_id': non-empty string required
 portfolio.json:transactions row 12 column 'date': not an ISO-8601 date: 'x' [row_invalid]
 portfolio.json:transactions row 13: transaction must be an object [row_invalid]
 portfolio.json:transactions row 14 column 'fee_paid': '0.0000000000000000001' has more than 18 fractional digits; precision exceeds the smallest denomination [row_invalid]
-noversion.json: missing schema_version: noversion.json: missing schema_version [schema_mismatch]
+noversion.json: missing schema_version [schema_mismatch]
 apps.json:apps row 2 column 'date': duplicate app day swap 2021-01-01 [duplicate_date]
 apps.json:apps row 3 column 'date': duplicate app day swap 2021-01-01 [duplicate_date]
 apps.json:apps row 4 column 'app_fee_share': must be within [0, 1], got 2 [row_invalid]
@@ -324,7 +324,7 @@ l2.json:l2s row 14: layer-2 entry must be an object [row_invalid]
 l2.json:l2s row 15 column 'pos_tx_share': required for proof-of-stake days [row_invalid]
 l2.json:l2s row 16 column 'internal_day': object required [row_invalid]
 l2.json:l2s row 17 column 'tx_fees_total': must be 0 on a day with no transactions [row_invalid]
-badversion.json: unsupported schema_version '2': badversion.json: unsupported schema_version '2' [schema_mismatch]
+badversion.json: unsupported schema_version '2' [schema_mismatch]
 broken.json: not valid JSON: Expecting value: line 1 column 15 (char 14) [schema_mismatch]
 list.json: top level must be an object [schema_mismatch]
 other.json: unrecognized document kind [schema_mismatch]
@@ -344,7 +344,7 @@ portfolio.transactions column 'date': c: no network day for 2021-03-01 [join_inv
 }
 
 EXPECTED_JSON_SHA256 = {
-    "malformed": "6c6ffc0d4db7f8332b888dee68434832aa2c18e2a489245e1bf85a64d0e0a3d7",
+    "malformed": "4dbb8b42068c7287e0c020307d0f638cd8ae95fe02748ff0f6d6a2ad82ebfabf",
     "join_failures": "4b17baf8916642547758e9fd30f8f50e4bda2d3f4595ab49b591b15449f3cfec",
 }
 
