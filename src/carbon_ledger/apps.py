@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import engine
-from .errors import NoTransactions, NotAToken, ShareOverflow
+from .errors import NoTransactions, NotAToken, RowProblem, ShareOverflow
 from .model import (
     Activity,
     AllocationResult,
@@ -48,9 +48,9 @@ class AppDay:
 
     def __post_init__(self):
         if self.app_tx_count < 0:
-            raise ValueError("app_tx_count must be >= 0")
+            raise RowProblem("app_tx_count", "must be >= 0")
         if self.token_supply is not None and self.token_supply.value.numerator <= 0:
-            raise ValueError("token_supply must be > 0 when present")
+            raise RowProblem("token_supply", "must be > 0 when present")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,8 +88,6 @@ def _app_plan(
     app: AppDay,
     method: Method,
     scope: tuple[str, ...],
-    holding_factors: tuple[tuple[str, Fraction], ...] = (),
-    transaction_factors: tuple[tuple[str, Fraction], ...] = (),
     hybrid: bool = False,
 ) -> engine.DayPlan:
     """The app-day's plan: both pools are slices of the app's share of the transaction pool.
@@ -101,9 +99,8 @@ def _app_plan(
     """
     engine.require_weights(day, weights)
     _check_app_day(app, day)
-    if hybrid:
-        holding_factors += (("app_holding_weight", weights.holding_weight.value),)
-        transaction_factors += (("app_transaction_weight", weights.transaction_weight.value),)
+    holding_factors = (("app_holding_weight", weights.holding_weight.value),) if hybrid else ()
+    transaction_factors = (("app_transaction_weight", weights.transaction_weight.value),) if hybrid else ()
     # the day's plan without weights; its pools, method and totals are replaced below
     plan = engine.plan_day(day, None, Method.TRANSACTION_BASED, scope + (f"app:{app.app_id}",))
     base, fee_share = day.energy.wh, app.app_fee_share.value
@@ -159,10 +156,10 @@ def allocate_app_transaction(
     tx: TransactionRecord,
     params: ConsensusParams,
     scope: tuple[str, ...] = engine.NETWORK_SCOPE,
-    method: Method = Method.TRANSACTION_BASED,
 ) -> AllocationResult:
     """Pure transaction-based allocation of the app pool to one record."""
-    return _app_transaction_result(_app_plan(day, weights, app, method, scope), app, tx, params.kind)
+    plan = _app_plan(day, weights, app, Method.TRANSACTION_BASED, scope)
+    return _app_transaction_result(plan, app, tx, params.kind)
 
 
 def allocate_token_holding(
@@ -171,16 +168,13 @@ def allocate_token_holding(
     app: AppDay,
     holding: TokenHolding,
     scope: tuple[str, ...] = engine.NETWORK_SCOPE,
-    method: Method = Method.HOLDING_BASED,
-    holding_weight: Share | None = None,
 ) -> AllocationResult:
     """Holding-based allocation of the app pool by token share.
 
     An entity holding 10% of the tokens of an app responsible for 50% of the
     network's fees bears 5% of the network transaction pool.
     """
-    extra = (("app_holding_weight", holding_weight.value),) if holding_weight is not None else ()
-    return _token_result(_app_plan(day, weights, app, method, scope, holding_factors=extra), app, holding)
+    return _token_result(_app_plan(day, weights, app, Method.HOLDING_BASED, scope), app, holding)
 
 
 def allocate_app_hybrid(

@@ -14,12 +14,13 @@ import json
 import os
 import shutil
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
 import click
 
-from . import engine, ingestion, report
+from . import __version__, engine, ingestion, report
 from .errors import (
     CarbonLedgerError,
     DatasetInvalid,
@@ -33,17 +34,14 @@ from .model import Consensus, ConsensusParams, Method
 from .numeric import DEFAULT_SIG_DIGITS
 from .remote import RemoteDayClient, check_network_id
 
-_METHODS = {
-    "holding": Method.HOLDING_BASED,
-    "transaction": Method.TRANSACTION_BASED,
-    "hybrid": Method.HYBRID,
-}
-
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 # rejected at the option, so a bad value exits 2 before any input is read
 _SIG_DIGITS = click.IntRange(min=1)
+_COIN_DECIMALS = click.option(
+    "--coin-decimals", type=click.IntRange(min=0), default=ingestion.DEFAULT_COIN_DECIMALS, show_default=True
+)
 
 
 class _Failure(Exception):
@@ -166,7 +164,7 @@ def _load_dataset(
 
 
 @click.group()
-@click.version_option(package_name="carbon-ledger")
+@click.version_option(__version__, prog_name="carbon-ledger")
 def main():
     """Allocate blockchain electricity use and emissions to holdings and transactions."""
 
@@ -175,7 +173,7 @@ def main():
 @click.argument("paths", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--network", required=True, help="Network identifier the files describe.")
 @click.option("--consensus", type=click.Choice(["pow", "pos"]), required=True)
-@click.option("--coin-decimals", type=int, default=ingestion.DEFAULT_COIN_DECIMALS, show_default=True)
+@_COIN_DECIMALS
 @click.option("--json", "json_report", is_flag=True, help="Emit a machine-readable issue report.")
 def validate(paths, network, consensus, coin_decimals, json_report):
     """Validate dataset files: network CSV plus portfolio/apps/layer-2 JSON.
@@ -187,8 +185,8 @@ def validate(paths, network, consensus, coin_decimals, json_report):
     def body():
         params = ConsensusParams(Consensus(consensus))
         issues: list[ValidationIssue] = []
-        day_files: list[tuple[str, Dataset]] = []
-        loaded = {"portfolio": [], "apps": [], "l2s": []}  # document kind → its files, loaded
+        day_files: list[tuple[str, tuple]] = []  # (name, days) of each days CSV
+        loaded = {"portfolio": [], "apps": [], "l2s": []}  # document kind → its files: (name, loaded)
 
         def collect(loader):
             try:
@@ -206,25 +204,25 @@ def validate(paths, network, consensus, coin_decimals, json_report):
                     lambda: ingestion.load_network_csv(path, network, params, coin_decimals)
                 )
                 if dataset is not None:
-                    day_files.append((path.name, dataset))
+                    day_files.append((path.name, dataset.days))
             elif (json_file := collect(lambda: ingestion.load_json_file(path, params, coin_decimals))):
                 kind, document = json_file
-                loaded[kind].append(document)
+                loaded[kind].append((path.name, document))
 
-        dataset = _all_days(day_files, issues)
-        if dataset is not None:
+        # the days, app days and L2 days of all files each form one set; see _merged
+        days = _merged(day_files, "", "date", lambda day: (day.date,), issues)
+        bundles = loaded["apps"]
+        app_files = [(name, bundle.apps) for name, bundle in bundles]
+        apps = _merged(app_files, ":apps", "app day", attrgetter("app_id", "date"), issues)
+        l2_files = [(name, l2_file.entries) for name, l2_file in loaded["l2s"]]
+        l2s = _merged(l2_files, ":l2s", "layer-2 day", attrgetter("l2_id", "date"), issues)
+        if day_files:
+            dataset = Dataset(network, params, tuple(sorted(days, key=attrgetter("date"))))
             # every app and L2 file joins as one registry, then each portfolio on its own
-            bundles = loaded["apps"]
-            joined = Dataset(
-                network_id=dataset.network_id,
-                consensus=dataset.consensus,
-                days=dataset.days,
-                apps=tuple(app for bundle in bundles for app in bundle.apps),
-                l2s=tuple(l2 for l2_file in loaded["l2s"] for l2 in l2_file.entries),
-            )
-            token_holdings = tuple(holding for bundle in bundles for holding in bundle.token_holdings)
+            token_holdings = tuple(holding for _, bundle in bundles for holding in bundle.token_holdings)
+            joined = dataclasses.replace(dataset, apps=apps, l2s=l2s)
             issues.extend(ingestion.join_issues(joined, token_holdings=token_holdings))
-            for portfolio in loaded["portfolio"]:
+            for _, portfolio in loaded["portfolio"]:
                 issues.extend(ingestion.join_issues(dataset, portfolio=portfolio))
 
         if json_report:
@@ -241,30 +239,29 @@ def validate(paths, network, consensus, coin_decimals, json_report):
     _run(body)
 
 
-def _all_days(day_files: list[tuple[str, Dataset]], issues: list[ValidationIssue]) -> Dataset | None:
-    """The days of every loaded days CSV as one dataset, each file given as ``(name, dataset)``.
+def _merged(files, section: str, noun: str, key, issues: list[ValidationIssue]) -> tuple:
+    """The records of several files as one, each file given as ``(name, records)``.
 
-    A date that an earlier file already gave is a ``duplicate_date`` issue of
-    the later file, whose day is dropped.
+    A record whose ``key`` an earlier file already gave is a ``duplicate_date``
+    issue of the later file's section (``name + section``) and is dropped:
+    ``duplicate <noun> <key>, also in <first file>``.
     """
-    if not day_files:
-        return None
-    days, first_file = {}, {}
-    for name, dataset in day_files:
-        for day in dataset.days:
-            if day.date in days:
-                reason = f"duplicate date {day.date}, also in {first_file[day.date]}"
-                issues.append(ValidationIssue(name, "duplicate_date", reason, column="date"))
+    merged, first_file = {}, {}
+    for name, records in files:
+        for record in records:
+            if (record_key := key(record)) in merged:
+                reason = f"duplicate {noun} {' '.join(map(str, record_key))}, also in {first_file[record_key]}"
+                issues.append(ValidationIssue(name + section, "duplicate_date", reason, column="date"))
             else:
-                days[day.date], first_file[day.date] = day, name
-    return dataclasses.replace(day_files[0][1], days=tuple(days[date] for date in sorted(days)))
+                merged[record_key], first_file[record_key] = record, name
+    return tuple(merged.values())
 
 
 # Declared alike by every command that reads days.
 _DAY_SOURCE_OPTIONS = (
     click.option("--remote", help="Remote index base URL instead of --days."),
     click.option("--cache-dir", type=click.Path(file_okay=False), help="Cache for remote days."),
-    click.option("--coin-decimals", type=int, default=ingestion.DEFAULT_COIN_DECIMALS, show_default=True),
+    _COIN_DECIMALS,
     click.option("--from", "from_", help="First day (ISO-8601), inclusive."),
     click.option("--to", "to_", help="Last day (ISO-8601), inclusive."),
     click.option("--out", type=click.Path(dir_okay=False)),
@@ -295,7 +292,7 @@ def _reads_days(command):
 @click.option("--network", required=True)
 @click.option("--consensus", type=click.Choice(["pow", "pos"]), required=True)
 @click.option("--portfolio", "portfolio_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=click.Choice(sorted(_METHODS)), required=True)
+@click.option("--method", type=click.Choice(sorted(method.value for method in Method)), required=True)
 @click.option("--carbon", is_flag=True, help="Include carbon where emission factors exist.")
 @click.option("--fill", type=click.Choice(["forward"]), help="Synthesize missing days.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
@@ -328,7 +325,7 @@ def allocate(
     issues = ingestion.join_issues(joined, portfolio=selected)
     if issues:
         raise DatasetInvalid(issues)
-    allocation = engine.allocate_portfolio(day_list, dataset.consensus, selected, _METHODS[method])
+    allocation = engine.allocate_portfolio(day_list, dataset.consensus, selected, Method(method))
     # from here on only rendering runs, and it cannot fail: nothing is written before this point
     if fmt == "json":
         _emit(report.allocation_json_chunks(dataset.network_id, allocation, sig_digits, carbon), out)

@@ -37,6 +37,20 @@ class NotAToken(CarbonLedgerError):
     """A token-holding allocation was requested for an app without a token supply."""
 
 
+class RowProblem(CarbonLedgerError, ValueError):
+    """A record that breaks a rule: its column (None for the whole row), why, and the issue code.
+
+    Raised by the record types and ingestion's cell parsers; a loader makes it
+    that row's ``ValidationIssue``. The message is ``"<column>: <reason>"``.
+    """
+
+    def __init__(self, column: str | None, reason: str, code: str = "row_invalid"):
+        self.column = column
+        self.reason = reason
+        self.code = code
+        super().__init__(reason if column is None else f"{column}: {reason}")
+
+
 class MissingDay(CarbonLedgerError):
     """Portfolio records reference dates with no matching network day."""
 

@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 from . import engine
 from .apps import AppDay, TokenHolding
 from .errors import (
-    BasisUnavailable, DatasetInvalid, NoTransactions, SchemaMismatch, ShareOverflow, ValidationIssue
+    BasisUnavailable, DatasetInvalid, NoTransactions, RowProblem, SchemaMismatch, ShareOverflow, ValidationIssue
 )
 from .layer2 import Layer2Day
 from .model import (
@@ -90,16 +90,6 @@ class L2Bundle:
 
     entries: tuple[Layer2Day, ...]
     consensus: dict[str, Consensus]
-
-
-class RowProblem(Exception):
-    """The first problem found in a row: its column (None for the whole row) and why."""
-
-    def __init__(self, column: str | None, reason: str, code: str = "row_invalid"):
-        self.column = column
-        self.reason = reason
-        self.code = code
-        super().__init__(reason)
 
 
 @contextmanager
@@ -290,7 +280,9 @@ class _Column(NamedTuple):
 
     An absent cell is a problem when ``required`` and reads as ``default``
     otherwise; a value equal to ``default`` is written back as absent.
-    ``bound`` is a (predicate, reason) check on a present value.
+    ``bound`` is a (predicate, reason) check on a present value. The record
+    type checks it again, but only once the whole row is read: the ``bound``
+    makes a row report its first problem in column order.
     """
 
     name: str
@@ -562,12 +554,7 @@ def _document(path: str | Path | Decoded) -> tuple[dict[str, Any], str]:
 
 
 def _day(values: dict[str, Any], consensus: ConsensusParams) -> NetworkDay:
-    """The day a row's values describe, once its cross-column rules hold."""
-    if values["tx_count"] == 0:
-        if values["tx_fees_total"] is not None and values["tx_fees_total"].value:
-            raise RowProblem("tx_fees_total", "must be 0 on a day with no transactions")
-        if values["gas_total"]:
-            raise RowProblem("gas_total", "must be 0 on a day with no transactions")
+    """The day a row's values describe, once the columns its consensus needs are sound."""
     day = NetworkDay(**values)
     problems = day.consensus_problems(consensus.kind)
     if problems:
@@ -599,7 +586,7 @@ def parse_network_csv(
     coin_decimals: int = DEFAULT_COIN_DECIMALS,
 ) -> Dataset:
     """Parse a network-day CSV document into a partial dataset (days only)."""
-    lines = text.splitlines()
+    lines = re.split(r"\r\n?|\n", text) if text else []  # not splitlines(), which also splits at \f, \v, ...
     if not lines:
         raise SchemaMismatch(source, "empty file")
     header = tuple(lines[0].split(","))
@@ -702,11 +689,9 @@ def parse_l2_json(
         if not isinstance(internal, dict):
             raise RowProblem("internal_day", "object required")
         params = ConsensusParams(consensus_map.get(l2_id, host_consensus.kind))
-        internal_day = day_from_fields(internal, params, coin_decimals)
-        if internal_day.date != date:
-            raise RowProblem("internal_day", "internal day date must match entry date")
+        entry = Layer2Day(internal_day=day_from_fields(internal, params, coin_decimals), **values)
         seen.add((l2_id, date))
-        return Layer2Day(internal_day=internal_day, **values)
+        return entry
 
     (entries,) = _sections(_json_document(text, source), source, l2s=parse_entry)
     return L2Bundle(entries=tuple(entries), consensus=consensus_map)
@@ -718,33 +703,21 @@ def load_l2_json(
     return parse_l2_json(*_document(path), host_consensus, coin_decimals)
 
 
-# A JSON file's kind is named by the first of these top-level keys it has:
-# key → (kind, loader of its decoded document). The loaders call through the
-# module's names, so a wrapper put on one in place sees the call.
-_PORTFOLIO = (
-    "portfolio", lambda decoded, consensus, coin_decimals: load_portfolio_json(decoded, coin_decimals)
-)
-_APPS = ("apps", lambda decoded, consensus, coin_decimals: load_apps_json(decoded, coin_decimals))
-_JSON_KINDS: dict[str, tuple[str, Callable]] = {
-    "holdings": _PORTFOLIO,
-    "transactions": _PORTFOLIO,
-    "apps": _APPS,
-    "token_holdings": _APPS,
-    "l2s": ("l2s", lambda decoded, consensus, coin_decimals: load_l2_json(decoded, consensus, coin_decimals)),
-}
-
-
 def load_json_file(path: str | Path, consensus: ConsensusParams, coin_decimals: int) -> tuple[str, Any]:
     """A JSON file's kind and what its kind's loader makes of it, the file decoded once.
 
-    ``consensus`` is the host's, for layer-2 entries. Raises SchemaMismatch
-    when the file is not UTF-8 JSON, its top level is not an object, or it
-    has none of the keys of ``_JSON_KINDS``.
+    Its keys name the kind: ``holdings``/``transactions``, else ``apps``/``token_holdings``,
+    else ``l2s`` (whose entries take the host's ``consensus``). Raises SchemaMismatch
+    when the file is not UTF-8 JSON, its top level is not an object, or it has none of them.
     """
     document, name = _document(path)
-    for key, (kind, load) in _JSON_KINDS.items():
-        if key in document:
-            return kind, load(Decoded(name, document), consensus, coin_decimals)
+    decoded = Decoded(name, document)
+    if "holdings" in document or "transactions" in document:
+        return "portfolio", load_portfolio_json(decoded, coin_decimals)
+    if "apps" in document or "token_holdings" in document:
+        return "apps", load_apps_json(decoded, coin_decimals)
+    if "l2s" in document:
+        return "l2s", load_l2_json(decoded, consensus, coin_decimals)
     raise SchemaMismatch(name, "unrecognized document kind")
 
 

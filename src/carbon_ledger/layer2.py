@@ -13,6 +13,7 @@ import datetime as _dt
 from dataclasses import dataclass, replace
 
 from . import engine
+from .errors import RowProblem
 from .model import AllocationResult, ConsensusParams, Energy, Method, NetworkDay, Portfolio, Share
 
 
@@ -35,9 +36,7 @@ class Layer2Day:
 
     def __post_init__(self):
         if self.internal_day.date != self.date:
-            raise ValueError(
-                f"internal day {self.internal_day.date} does not match layer-2 day {self.date}"
-            )
+            raise RowProblem("internal_day", "internal day date must match entry date")
 
 
 def l2_inherited(l1_day: NetworkDay, l1_weights: engine.MethodWeights, l2: Layer2Day) -> Energy:

@@ -5,10 +5,11 @@ Design rules that everything below follows:
 * Internal energy unit is watt-hours; carbon is grams CO2e. Display
   conversions happen at serialization, never mid-computation.
 * Every quantity is an exact rational (see ``numeric``). Constructors
-  validate range invariants and reject anything out of domain; each check
-  compares integers (a Fraction's numerator and denominator), since a
-  Fraction comparison costs several Python calls and ingestion builds
-  hundreds of thousands of these values.
+  validate range invariants and reject anything out of domain; a record
+  type (a day or a transaction) raises ``RowProblem`` naming the input
+  column that breaks its rule. Each check compares integers (a Fraction's
+  numerator and denominator), since a Fraction comparison costs several
+  Python calls and ingestion builds hundreds of thousands of these values.
 * All types are immutable values, safe to share across concurrent tasks,
   and slotted: no per-instance ``__dict__``.
 """
@@ -21,6 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
+from .errors import RowProblem
 from .numeric import DEFAULT_SIG_DIGITS, format_sig, parse_decimal
 
 Numeric = Union[Fraction, int, str]
@@ -120,16 +122,6 @@ class Carbon:
         if self.grams.numerator < 0:
             raise ValueError(f"carbon must be >= 0, got {self.grams}")
 
-    def __add__(self, other: "Carbon") -> "Carbon":
-        return Carbon(self.grams + other.grams)
-
-    def __mul__(self, factor) -> "Carbon":
-        if isinstance(factor, Share):
-            factor = factor.value
-        return Carbon(self.grams * _as_fraction(factor))
-
-    __rmul__ = __mul__
-
 
 def carbonize(energy: Energy, factor_g_per_kwh: Numeric) -> Carbon:
     """Convert allocated electricity to emissions with a gCO2e/kWh factor."""
@@ -208,21 +200,21 @@ class NetworkDay:
 
     def __post_init__(self):
         if self.coin_supply.value.numerator <= 0:
-            raise ValueError("coin_supply must be > 0")
+            raise RowProblem("coin_supply", "must be > 0")
         if self.tx_count < 0:
-            raise ValueError("tx_count must be >= 0")
+            raise RowProblem("tx_count", "must be >= 0")
         if self.gas_total is not None and self.gas_total.numerator < 0:
-            raise ValueError("gas_total must be >= 0")
+            raise RowProblem("gas_total", "must be >= 0")
         if self.emission_factor is not None and self.emission_factor.numerator < 0:
-            raise ValueError("emission_factor must be >= 0")
+            raise RowProblem("emission_factor_g_per_kwh", "must be >= 0")
         lost = self.lost_coin_fraction.value
         if lost.numerator >= lost.denominator:
-            raise ValueError("lost_coin_fraction must be < 1")
+            raise RowProblem("lost_coin_fraction", "must be < 1")
         if self.tx_count == 0:
             if self.tx_fees_total is not None and self.tx_fees_total.value.numerator != 0:
-                raise ValueError("tx_fees_total must be 0 on a day with no transactions")
+                raise RowProblem("tx_fees_total", "must be 0 on a day with no transactions")
             if self.gas_total is not None and self.gas_total.numerator != 0:
-                raise ValueError("gas_total must be 0 on a day with no transactions")
+                raise RowProblem("gas_total", "must be 0 on a day with no transactions")
 
     def consensus_problems(self, kind: Consensus) -> list[tuple[str, str]]:
         """Per-consensus column problems as (column, reason) pairs; empty if clean."""
@@ -278,11 +270,11 @@ class TransactionRecord:
 
     def __post_init__(self):
         if self.fee_paid is None and self.gas_used is None and self.tx_count is None:
-            raise ValueError("at least one of fee_paid, gas_used, tx_count required")
+            raise RowProblem(None, "at least one of fee_paid, gas_used, tx_count required")
         if self.gas_used is not None and self.gas_used.numerator < 0:
-            raise ValueError("gas_used must be >= 0")
+            raise RowProblem("gas_used", "must be >= 0")
         if self.tx_count is not None and self.tx_count <= 0:
-            raise ValueError("tx_count must be a positive count")
+            raise RowProblem("tx_count", "must be a positive count")
 
 
 @dataclass(frozen=True, slots=True)

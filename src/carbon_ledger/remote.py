@@ -21,8 +21,8 @@ import re
 import urllib.parse
 from pathlib import Path
 
-from .errors import MalformedResponse, RangeUnavailable, Unreachable
-from .ingestion import DEFAULT_COIN_DECIMALS, RowProblem, day_from_fields, day_to_fields
+from .errors import MalformedResponse, RangeUnavailable, RowProblem, Unreachable
+from .ingestion import DEFAULT_COIN_DECIMALS, day_from_fields, day_to_fields
 from .model import ConsensusParams, NetworkDay
 
 
@@ -100,7 +100,7 @@ class RemoteDayClient:
         try:
             text = self._cache_path(network_id, date).read_text(encoding="utf-8")
             day = day_from_fields(json.loads(text), self.consensus, self.coin_decimals)
-        except (OSError, ValueError, RowProblem):
+        except (OSError, ValueError):  # a RowProblem is a ValueError
             return None
         return day if day.date == date else None
 
