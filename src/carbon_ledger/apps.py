@@ -88,17 +88,17 @@ def _app_plan(
     app: AppDay,
     method: Method,
     scope: tuple[str, ...],
-    hybrid: bool = False,
 ) -> engine.DayPlan:
     """The app-day's plan: both pools are slices of the app's share of the transaction pool.
 
     The app's fee (or gas) total is derived from its declared share of the
     network total, so the same basis hierarchy as network-level allocation
-    applies within the app. A ``hybrid`` plan adds the host's holding and
+    applies within the app. A hybrid plan adds the host's holding and
     transaction weights to its pools, once the weights are checked.
     """
     engine.require_weights(day, weights)
     _check_app_day(app, day)
+    hybrid = method is Method.HYBRID
     holding_factors = (("app_holding_weight", weights.holding_weight.value),) if hybrid else ()
     transaction_factors = (("app_transaction_weight", weights.transaction_weight.value),) if hybrid else ()
     # the day's plan without weights; its pools, method and totals are replaced below
@@ -200,7 +200,7 @@ def allocate_app_hybrid(
             )
         plan = _app_plan(day, weights, app, Method.TRANSACTION_BASED, scope)
         return tuple(_app_transaction_result(plan, app, tx, params.kind) for tx in txs)
-    plan = _app_plan(day, weights, app, Method.HYBRID, scope, hybrid=True)
+    plan = _app_plan(day, weights, app, Method.HYBRID, scope)
     results = [_token_result(plan, app, holding)] if holding is not None else []
     results += [_app_transaction_result(plan, app, tx, params.kind) for tx in txs]
     results.sort(key=AllocationResult.sort_key)

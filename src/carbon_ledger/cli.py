@@ -45,10 +45,7 @@ _COIN_DECIMALS = click.option(
 
 
 class _Failure(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+    """A usage error: its message goes to stderr, and the command exits 2."""
 
 
 def _date(value: str | None, flag: str) -> _dt.date | None:
@@ -57,13 +54,14 @@ def _date(value: str | None, flag: str) -> _dt.date | None:
     try:
         return ingestion.parse_date(value)
     except ValueError:
-        raise _Failure(EXIT_IO, f"{flag}: not an ISO-8601 date: {value!r}") from None
+        raise _Failure(f"{flag}: not an ISO-8601 date: {value!r}") from None
 
 
 # Exit code of an error that escapes a command. The first type the error is
 # an instance of decides, so a remote fetch failure exits 2 before the
 # domain-error rule can claim it.
 _EXIT_CODES = {
+    _Failure: EXIT_IO,
     Unreachable: EXIT_IO,
     RangeUnavailable: EXIT_IO,
     CarbonLedgerError: EXIT_VALIDATION,
@@ -82,9 +80,6 @@ def _run(body) -> None:
     try:
         with ingestion.bulk():
             body()
-    except _Failure as failure:
-        click.echo(failure.message, err=True)
-        sys.exit(failure.code)
     except tuple(_EXIT_CODES) as exc:
         if isinstance(exc, DatasetInvalid):
             for issue in exc.issues:
@@ -132,37 +127,6 @@ def _emit(chunks: Iterable[str], out: str | None, summary: str | None = None) ->
         raise
 
 
-def _load_dataset(
-    days: str | None,
-    remote: str | None,
-    cache_dir: str | None,
-    network: str,
-    consensus: str,
-    coin_decimals: int,
-    start: _dt.date | None,
-    end: _dt.date | None,
-) -> Dataset:
-    params = ConsensusParams(Consensus(consensus))
-    if (days is None) == (remote is None):
-        raise _Failure(EXIT_IO, "exactly one of --days or --remote is required")
-    if remote is not None:
-        if start is None or end is None:
-            raise _Failure(EXIT_IO, "--remote requires --from and --to")
-        try:
-            check_network_id(network)
-        except ValueError as exc:
-            raise _Failure(EXIT_IO, f"--network: {exc}") from None
-        client = RemoteDayClient(
-            remote,
-            cache_dir or Path(".carbon-ledger-cache"),
-            params,
-            coin_decimals,
-        )
-        fetched = client.fetch_days(network, start, end)
-        return Dataset(network_id=network, consensus=params, days=fetched)
-    return ingestion.load_network_csv(days, network, params, coin_decimals)
-
-
 @click.group()
 @click.version_option(__version__, prog_name="carbon-ledger")
 def main():
@@ -185,38 +149,37 @@ def validate(paths, network, consensus, coin_decimals, json_report):
     def body():
         params = ConsensusParams(Consensus(consensus))
         issues: list[ValidationIssue] = []
-        day_files: list[tuple[str, tuple]] = []  # (name, days) of each days CSV
-        loaded = {"portfolio": [], "apps": [], "l2s": []}  # document kind → its files: (name, loaded)
-
-        def collect(loader):
+        loaded = {"days": [], "portfolio": [], "apps": [], "l2s": []}  # kind → its files: (name, loaded)
+        for raw_path in paths:
+            path = Path(raw_path)
             try:
-                return loader()
+                if path.suffix == ".csv":
+                    kind, document = "days", ingestion.load_network_csv(path, network, params, coin_decimals)
+                else:
+                    kind, document = ingestion.load_json_file(path, params, coin_decimals)
             except SchemaMismatch as exc:
                 issues.append(ValidationIssue(exc.source, "schema_mismatch", exc.reason))
             except DatasetInvalid as exc:
                 issues.extend(exc.issues)
-            return None
-
-        for raw_path in paths:
-            path = Path(raw_path)
-            if path.suffix == ".csv":
-                dataset = collect(
-                    lambda: ingestion.load_network_csv(path, network, params, coin_decimals)
-                )
-                if dataset is not None:
-                    day_files.append((path.name, dataset.days))
-            elif (json_file := collect(lambda: ingestion.load_json_file(path, params, coin_decimals))):
-                kind, document = json_file
+            else:
                 loaded[kind].append((path.name, document))
 
         # the days, app days and L2 days of all files each form one set; see _merged
+        day_files = [(name, csv_file.days) for name, csv_file in loaded["days"]]
         days = _merged(day_files, "", "date", lambda day: (day.date,), issues)
         bundles = loaded["apps"]
         app_files = [(name, bundle.apps) for name, bundle in bundles]
         apps = _merged(app_files, ":apps", "app day", attrgetter("app_id", "date"), issues)
         l2_files = [(name, l2_file.entries) for name, l2_file in loaded["l2s"]]
         l2s = _merged(l2_files, ":l2s", "layer-2 day", attrgetter("l2_id", "date"), issues)
-        if day_files:
+        declared = {}  # L2 id → (the consensus the first file to declare one gives it, that file)
+        for name, l2_file in loaded["l2s"]:
+            for l2_id, l2_kind in l2_file.consensus.items():
+                first, first_file = declared.setdefault(l2_id, (l2_kind, name))
+                if l2_kind is not first:
+                    reason = f"conflicting consensus for {l2_id}, declared {first.value} in {first_file}"
+                    issues.append(ValidationIssue(name + ":l2s", "join_invalid", reason, column="consensus"))
+        if loaded["days"]:
             dataset = Dataset(network, params, tuple(sorted(days, key=attrgetter("date"))))
             # every app and L2 file joins as one registry, then each portfolio on its own
             token_holdings = tuple(holding for _, bundle in bundles for holding in bundle.token_holdings)
@@ -269,17 +232,50 @@ _DAY_SOURCE_OPTIONS = (
 )
 
 
+def _load_dataset(
+    remote: str | None,
+    cache_dir: str | None,
+    coin_decimals: int,
+    start: _dt.date | None,
+    end: _dt.date | None,
+    days: str | None,
+    network: str,
+    consensus: str,
+) -> Dataset:
+    """A network's days, from its days CSV or from ``--remote``; bound by ``_reads_days`` into ``load``."""
+    params = ConsensusParams(Consensus(consensus))
+    if (days is None) == (remote is None):
+        raise _Failure("exactly one of --days or --remote is required")
+    if days is not None:
+        return ingestion.load_network_csv(days, network, params, coin_decimals)
+    if start is None or end is None:
+        raise _Failure("--remote requires --from and --to")
+    try:
+        check_network_id(network)
+    except ValueError as exc:
+        raise _Failure(f"--network: {exc}") from None
+    client = RemoteDayClient(remote, cache_dir or Path(".carbon-ledger-cache"), params, coin_decimals)
+    return Dataset(network_id=network, consensus=params, days=client.fetch_days(network, start, end))
+
+
 def _reads_days(command):
     """Give a command the day-source options and run it through ``_run``.
 
-    The command is called with ``start`` and ``end``, the parsed ``--from``
-    and ``--to``; a date that does not parse fails inside ``_run``, so it
-    exits 2 with its own message rather than click's usage error.
+    The command is called with ``load(days, network, consensus)``, which reads
+    a network's days from its ``--days`` CSV or from ``--remote``, and with
+    ``start`` and ``end``, the parsed ``--from`` and ``--to``. A date that does
+    not parse fails inside ``_run``, so it exits 2 with its own message rather
+    than click's usage error.
     """
 
     @functools.wraps(command)
-    def run(from_, to_, **options):
-        _run(lambda: command(start=_date(from_, "--from"), end=_date(to_, "--to"), **options))
+    def run(remote, cache_dir, from_, to_, **options):
+        def body():
+            start, end = _date(from_, "--from"), _date(to_, "--to")
+            load = functools.partial(_load_dataset, remote, cache_dir, options["coin_decimals"], start, end)
+            command(load, start=start, end=end, **options)
+
+        _run(body)
 
     for option in reversed(_DAY_SOURCE_OPTIONS):
         run = option(run)
@@ -297,11 +293,10 @@ def _reads_days(command):
 @click.option("--fill", type=click.Choice(["forward"]), help="Synthesize missing days.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def allocate(
+    load,
     start,
     end,
     days,
-    remote,
-    cache_dir,
     network,
     consensus,
     coin_decimals,
@@ -314,7 +309,7 @@ def allocate(
     sig_digits,
 ):
     """Allocate a portfolio over a day range under one methodology."""
-    dataset = _load_dataset(days, remote, cache_dir, network, consensus, coin_decimals, start, end)
+    dataset = load(days, network, consensus)
     portfolio = ingestion.load_portfolio_json(portfolio_path, coin_decimals)
 
     selected = portfolio.between(start, end)
@@ -345,42 +340,20 @@ def allocate(
 @click.option("--consensus", "consensuses", multiple=True, type=click.Choice(["pow", "pos"]), required=True)
 @click.option("--carbon", is_flag=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True)
-def compare(
-    start,
-    end,
-    days_paths,
-    remote,
-    cache_dir,
-    networks,
-    consensuses,
-    coin_decimals,
-    carbon,
-    out,
-    fmt,
-    sig_digits,
-):
+def compare(load, start, end, days_paths, networks, consensuses, coin_decimals, carbon, out, fmt, sig_digits):
     """Methodology comparison: one-coin and one-transaction daily averages.
 
     Repeat --days/--network/--consensus in matching order to compare several
     networks in one table.
     """
     if len(networks) != len(consensuses):
-        raise _Failure(EXIT_IO, "--network and --consensus must repeat in matching pairs")
-    if remote is None and len(days_paths) != len(networks):
-        raise _Failure(EXIT_IO, "--days and --network must repeat in matching pairs")
-    rows = []
-    for index, network in enumerate(networks):
-        dataset = _load_dataset(
-            days_paths[index] if remote is None else None,
-            remote,
-            cache_dir,
-            network,
-            consensuses[index],
-            coin_decimals,
-            start,
-            end,
-        )
-        rows.append(report.build_comparison_row(dataset, start, end, with_carbon=carbon))
+        raise _Failure("--network and --consensus must repeat in matching pairs")
+    # no --days: each network's days come from --remote, or load fails
+    days_paths = days_paths or (None,) * len(networks)
+    if len(days_paths) != len(networks):
+        raise _Failure("--days and --network must repeat in matching pairs")
+    sources = zip(days_paths, networks, consensuses)
+    rows = [report.build_comparison_row(load(*source), start, end, with_carbon=carbon) for source in sources]
     if fmt == "csv":
         _emit((report.comparison_to_csv(rows, with_carbon=carbon, sig_digits=sig_digits),), out)
     else:
@@ -393,10 +366,9 @@ def compare(
 @click.option("--network", required=True)
 @click.option("--consensus", type=click.Choice(["pow", "pos"]), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-def series(start, end, days, remote, cache_dir, network, consensus, coin_decimals, out, fmt, sig_digits):
+def series(load, start, end, days, network, consensus, coin_decimals, out, fmt, sig_digits):
     """Per-day hybrid transaction weight as a plottable series."""
-    dataset = _load_dataset(days, remote, cache_dir, network, consensus, coin_decimals, start, end)
-    rows = report.series_rows(dataset, start, end)
+    rows = report.series_rows(load(days, network, consensus), start, end)
     if fmt == "csv":
         _emit((report.series_to_csv(rows, sig_digits),), out)
     else:

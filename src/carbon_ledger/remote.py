@@ -54,12 +54,7 @@ def _index_name(base_url: str) -> str:
 
 def date_range(start: _dt.date, end: _dt.date) -> list[_dt.date]:
     """All days from start to end inclusive; empty when start > end."""
-    days = []
-    current = start
-    while current <= end:
-        days.append(current)
-        current += _dt.timedelta(days=1)
-    return days
+    return [_dt.date.fromordinal(ordinal) for ordinal in range(start.toordinal(), end.toordinal() + 1)]
 
 
 class RemoteDayClient:

@@ -74,6 +74,31 @@ def test_a_layer2_day_two_files_give_is_a_duplicate_date(runner, tmp_path, days)
     ]
 
 
+def test_a_layer2_consensus_two_files_declare_differently(runner, tmp_path):
+    days = tmp_path / "days.csv"
+    days.write_text(DAYS + "2021-01-02,1000,6,1,100,,10,,,\n")
+    internal = {
+        "energy_wh": "1", "block_reward": "1", "tx_fees_total": "1", "coin_supply": "1", "tx_count": 1,
+        "pos_tx_share": "0.5",
+    }
+    entries = [
+        {"l2_id": "r", "date": date, "consensus": kind, "l1_fee_share": "0.1", "infra_energy_wh": "1",
+         "internal_day": dict(internal, date=date)}
+        for date, kind in (("2021-01-01", "pos"), ("2021-01-02", "pow"))
+    ]
+    together = _validate(runner, days, _write(tmp_path / "ab.json", l2s=entries))
+    assert (together.exit_code, together.output) == (
+        1, "ab.json:l2s row 2 column 'consensus': conflicting consensus for r [row_invalid]\n"
+    )
+    first, second = _write(tmp_path / "a.json", l2s=entries[:1]), _write(tmp_path / "b.json", l2s=entries[1:])
+    split = _validate(runner, days, first, second)
+    assert (split.exit_code, split.output) == (
+        1, "b.json:l2s column 'consensus': conflicting consensus for r, declared pos in a.json [join_invalid]\n"
+    )
+    alike = _validate(runner, days, first, _write(tmp_path / "c.json", l2s=[dict(entries[1], consensus="pos")]))
+    assert (alike.exit_code, alike.output) == (0, "ok\n")
+
+
 def test_a_form_feed_inside_a_cell_does_not_split_its_row(runner, tmp_path):
     rows = ["2021-01-01,10\f00,6,1,100,,10,,,", "2021-01-02,-5,6,1,100,,10,,,"]
     expected = [
@@ -117,9 +142,18 @@ def test_pyproject_version_is_the_package_version():
         assert tomllib.load(handle)["project"]["version"] == carbon_ledger.__version__
 
 
-@pytest.mark.parametrize("source", [["--remote", "http://127.0.0.1:9"], []], ids=["both", "neither"])
-def test_exactly_one_day_source(runner, days, source):
-    args = ["series", "--network", "btc", "--consensus", "pow", *source]
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("series", ["--remote", "http://127.0.0.1:9"]),
+        ("series", []),
+        ("compare", ["--remote", "http://127.0.0.1:9", "--from", "2021-01-01", "--to", "2021-01-01"]),
+        ("compare", []),
+    ],
+    ids=["both", "neither", "compare-both", "compare-neither"],
+)
+def test_exactly_one_day_source(runner, days, command, source):
+    args = [command, "--network", "btc", "--consensus", "pow", *source]
     if source:
         args += ["--days", str(days)]
     result = runner.invoke(main, args)

@@ -231,6 +231,24 @@ class TestRemoteThroughCli:
         )
         assert result.exit_code == 2
 
+    def test_a_range_ending_on_the_last_calendar_day_fails_cleanly(self, tmp_path):
+        from click.testing import CliRunner
+
+        from carbon_ledger.cli import main
+
+        args = ["series", "--remote", "http://127.0.0.1:9", "--cache-dir", str(tmp_path), "--network", "x",
+                "--consensus", "pow", "--from", "9999-12-31", "--to", "9999-12-31"]
+        result = CliRunner().invoke(main, args)
+        # the connection error, one line: the range itself neither overflows nor tracebacks
+        assert result.exit_code == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("http://127.0.0.1:9/networks/x/days?from=9999-12-31&to=9999-12-31: ")
+
+
+def test_date_range_reaches_the_last_calendar_day():
+    assert carbon_ledger.remote.date_range(dt.date.max, dt.date.max) == [dt.date.max]
+    assert carbon_ledger.remote.date_range(END, START) == []
+
 
 class TestNetworkIds:
     @pytest.mark.parametrize(
