@@ -472,6 +472,22 @@ def _collect(source: str, rows: Iterable[tuple[int, Any]], parse: Callable, issu
     return records
 
 
+def _keyed(spec: _Spec, coin_decimals: int, finish: Callable = lambda values, row: values) -> Callable:
+    """A keyed spec's row parser: its reader, then ``finish(values, row)`` builds the record.
+
+    A row's key counts as seen only once its record is fully built.
+    """
+    seen: set[tuple] = set()
+    attrs = [column.attr for column in spec.columns[: spec.key]]
+
+    def parse(row: Any) -> Any:
+        record = finish(spec.reader(row, coin_decimals, seen), row)
+        seen.add(tuple(getattr(record, attr) for attr in attrs))
+        return record
+
+    return parse
+
+
 def _released(rows: list) -> Iterator[tuple[int, Any]]:
     """Each row of a JSON array with its 1-based number, dropped from the array as it is handed out.
 
@@ -517,7 +533,7 @@ def _decode(text: str, source: str) -> dict[str, Any]:
     try:
         with bulk():
             document = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or a number beyond the integer digit limit
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too long a number, or nesting too deep
         raise SchemaMismatch(source, f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SchemaMismatch(source, "top level must be an object")
@@ -567,10 +583,15 @@ def day_from_fields(
 ) -> NetworkDay:
     """Build one validated NetworkDay from named cells.
 
-    Raises ``RowProblem`` on the first problem; shared by the CSV and layer-2
-    loaders and the remote client so all of them validate identically.
+    Raises ``RowProblem`` on the first problem; shared by the layer-2 loader
+    and the remote cache, so a day validates the same everywhere.
     """
     return _day(_DAY.reader(fields, coin_decimals), consensus)
+
+
+def _day_reader(consensus: ConsensusParams, coin_decimals: int) -> Callable:
+    """The days reader of a days CSV and of an index response: a row in, its NetworkDay out, each date once."""
+    return _keyed(_DAY, coin_decimals, lambda values, row: _day(values, consensus))
 
 
 def day_to_fields(day: NetworkDay) -> dict[str, Any]:
@@ -593,15 +614,13 @@ def parse_network_csv(
     if header != NETWORK_CSV_COLUMNS:
         expected = ",".join(NETWORK_CSV_COLUMNS)
         raise SchemaMismatch(source, f"header {','.join(header)!r} does not match {expected!r}")
-    seen: set[tuple] = set()
+    read_day = _day_reader(consensus, coin_decimals)
 
     def parse_line(line: str) -> NetworkDay:
         cells = line.split(",")
         if len(cells) != len(NETWORK_CSV_COLUMNS):
             raise RowProblem(None, f"expected {len(NETWORK_CSV_COLUMNS)} cells, got {len(cells)}")
-        day = _day(_DAY.reader(dict(zip(NETWORK_CSV_COLUMNS, cells)), coin_decimals, seen), consensus)
-        seen.add((day.date,))
-        return day
+        return read_day(dict(zip(NETWORK_CSV_COLUMNS, cells)))
 
     issues: list[ValidationIssue] = []
     rows = ((row_no, line) for row_no, line in enumerate(lines[1:], start=1) if line)
@@ -642,17 +661,10 @@ def parse_apps_json(
     text: str | dict[str, Any], source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> AppBundle:
     """Parse and validate an app registry document: its JSON text, or its top-level object."""
-    seen: set[tuple] = set()
-
-    def parse_app(row: Any) -> AppDay:
-        app = _APP.reader(row, coin_decimals, seen)
-        seen.add((app.app_id, app.date))
-        return app
-
     apps, token_holdings = _sections(
         _json_document(text, source),
         source,
-        apps=parse_app,
+        apps=_keyed(_APP, coin_decimals),
         token_holdings=functools.partial(_TOKEN_HOLDING.reader, coin_decimals=coin_decimals),
     )
     return AppBundle(tuple(apps), tuple(token_holdings))
@@ -674,11 +686,9 @@ def parse_l2_json(
     to a PoW layer-1); entries without one are validated against the host's.
     """
     consensus_map: dict[str, Consensus] = {}
-    seen: set[tuple] = set()
 
-    def parse_entry(row: Any) -> Layer2Day:
-        values = _L2.reader(row, coin_decimals, seen)
-        l2_id, date = values["l2_id"], values["date"]
+    def entry(values: dict[str, Any], row: dict[str, Any]) -> Layer2Day:
+        l2_id = values["l2_id"]
         kind = row.get("consensus")
         if kind is not None:
             if not isinstance(kind, str) or kind not in ("pow", "pos"):
@@ -689,11 +699,9 @@ def parse_l2_json(
         if not isinstance(internal, dict):
             raise RowProblem("internal_day", "object required")
         params = ConsensusParams(consensus_map.get(l2_id, host_consensus.kind))
-        entry = Layer2Day(internal_day=day_from_fields(internal, params, coin_decimals), **values)
-        seen.add((l2_id, date))
-        return entry
+        return Layer2Day(internal_day=day_from_fields(internal, params, coin_decimals), **values)
 
-    (entries,) = _sections(_json_document(text, source), source, l2s=parse_entry)
+    (entries,) = _sections(_json_document(text, source), source, l2s=_keyed(_L2, coin_decimals, entry))
     return L2Bundle(entries=tuple(entries), consensus=consensus_map)
 
 

@@ -1,15 +1,15 @@
 """Optional remote index client: fetch network days over HTTP, cache locally.
 
 The endpoint shape is ``GET {base}/networks/{network_id}/days?from=...&to=...``
-returning ``{"schema_version": "1", "days": [{...}]}`` where each day object
-uses the same field names as the network CSV columns, decimals as strings.
+returning ``{"schema_version": "1", "days": [{...}]}`` in UTF-8, read as a days
+CSV is: each day object has the CSV's columns as keys, decimals as strings.
 Fetched days are cached one file per day so any rerun over a covered range is
 served offline; ``fetch_count`` exposes how many HTTP calls were made. The
 cache directory holds one directory per index, named by a hash of its base
 URL, so indexes that share a cache directory never serve each other's days.
-Each cache file is written whole (temp file, then rename), and an entry that
-cannot be read back as the day it names counts as a miss, so its range is
-fetched again and the entry rewritten.
+Each cache file is written whole (temp file, then rename; a failed write
+removes the temp), and an entry that cannot be read back as the day it names
+counts as a miss, so its range is fetched again and the entry rewritten.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import re
 import urllib.parse
 from pathlib import Path
 
-from .errors import MalformedResponse, RangeUnavailable, RowProblem, Unreachable
-from .ingestion import DEFAULT_COIN_DECIMALS, day_from_fields, day_to_fields
+from . import ingestion
+from .errors import DatasetInvalid, MalformedResponse, RangeUnavailable, SchemaMismatch, Unreachable
 from .model import ConsensusParams, NetworkDay
 
 
@@ -65,7 +65,7 @@ class RemoteDayClient:
         base_url: str,
         cache_dir: str | Path,
         consensus: ConsensusParams,
-        coin_decimals: int = DEFAULT_COIN_DECIMALS,
+        coin_decimals: int = ingestion.DEFAULT_COIN_DECIMALS,
         timeout: float = 30.0,
     ):
         self.base_url = base_url.rstrip("/")
@@ -79,23 +79,13 @@ class RemoteDayClient:
     def _cache_path(self, network_id: str, date: _dt.date) -> Path:
         return self.cache_dir / self._index_dir / network_id / f"{date.isoformat()}.json"
 
-    def _day_from_object(self, obj, network_id: str) -> NetworkDay:
-        if not isinstance(obj, dict):
-            raise MalformedResponse(f"{network_id}: day entry must be an object")
-        try:
-            return day_from_fields(obj, self.consensus, self.coin_decimals)
-        except RowProblem as problem:
-            column = f" column {problem.column!r}" if problem.column else ""
-            raise MalformedResponse(
-                f"{network_id} day {obj.get('date')!r}{column}: {problem.reason}"
-            ) from None
-
     def _read_cached(self, network_id: str, date: _dt.date) -> NetworkDay | None:
         """The cached day, or None when its entry is missing, unreadable or invalid."""
+        path = self._cache_path(network_id, date)
         try:
-            text = self._cache_path(network_id, date).read_text(encoding="utf-8")
-            day = day_from_fields(json.loads(text), self.consensus, self.coin_decimals)
-        except (OSError, ValueError):  # a RowProblem is a ValueError
+            fields = ingestion._decode(path.read_text(encoding="utf-8"), path.name)
+            day = ingestion.day_from_fields(fields, self.consensus, self.coin_decimals)
+        except (OSError, ValueError, SchemaMismatch):  # a UnicodeDecodeError and a RowProblem are ValueErrors
             return None
         return day if day.date == date else None
 
@@ -104,8 +94,12 @@ class RemoteDayClient:
         path = self._cache_path(network_id, day.date)
         path.parent.mkdir(parents=True, exist_ok=True)
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        temp.write_text(json.dumps(day_to_fields(day), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(temp, path)
+        try:
+            temp.write_text(json.dumps(ingestion.day_to_fields(day), indent=2, sort_keys=True) + "\n", "utf-8")
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
 
     def _http_get(self, network_id: str, start: _dt.date, end: _dt.date) -> dict:
         # imported here: the HTTP stack (http.client, ssl, email) costs tens of
@@ -128,12 +122,10 @@ class RemoteDayClient:
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise Unreachable(f"{url}: {exc}") from None
         try:
-            document = json.loads(body)
-        except ValueError as exc:  # a JSONDecodeError, or a number beyond the integer digit limit
-            raise MalformedResponse(f"{url}: not valid JSON: {exc}") from None
-        if not isinstance(document, dict) or not isinstance(document.get("days"), list):
-            raise MalformedResponse(f"{url}: expected an object with a 'days' array")
-        return document
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatch(url, f"not UTF-8 text: {exc}") from None
+        return ingestion._json_document(text, url)
 
     def fetch_days(
         self, network_id: str, start: _dt.date, end: _dt.date
@@ -141,25 +133,25 @@ class RemoteDayClient:
         """Days for [start, end] inclusive, from cache when fully covered.
 
         When any day is missing locally, the whole range is requested once,
-        validated exactly like file ingestion, and written through the cache.
+        read by ingestion's days reader, and written through the cache. Any
+        problem with the response is one MalformedResponse naming every bad row.
         """
         check_network_id(network_id)
         wanted = date_range(start, end)
         if not wanted:
             return ()
-        cached: dict[_dt.date, NetworkDay] = {}
-        for date in wanted:
-            day = self._read_cached(network_id, date)
-            if day is not None:
-                cached[date] = day
-        if len(cached) == len(wanted):
-            return tuple(cached[d] for d in wanted)
+        cached = [self._read_cached(network_id, date) for date in wanted]
+        if None not in cached:
+            return tuple(cached)
 
-        document = self._http_get(network_id, start, end)
-        fetched: dict[_dt.date, NetworkDay] = {}
-        for obj in document["days"]:
-            day = self._day_from_object(obj, network_id)
-            fetched[day.date] = day
+        try:
+            document = self._http_get(network_id, start, end)
+            read_day = ingestion._day_reader(self.consensus, self.coin_decimals)
+            # a response must hold its days array, where a file may leave a section out
+            (days,) = ingestion._sections({"days": document.get("days")}, network_id, days=read_day)
+        except (SchemaMismatch, DatasetInvalid) as exc:
+            raise MalformedResponse(str(exc)) from None
+        fetched = {day.date: day for day in days}
         missing = [d for d in wanted if d not in fetched]
         if missing:
             listing = ", ".join(d.isoformat() for d in missing)

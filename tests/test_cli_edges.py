@@ -183,7 +183,7 @@ def test_a_remote_day_entry_that_is_not_an_object(tmp_path):
     client = RemoteDayClient("http://127.0.0.1:9", tmp_path, ConsensusParams(Consensus.POW))
     client._http_get = lambda network_id, start, end: {"schema_version": "1", "days": [5]}
     day = carbon_ledger.ingestion.parse_date("2021-01-01")
-    with pytest.raises(MalformedResponse, match=r"^btc: day entry must be an object$"):
+    with pytest.raises(MalformedResponse, match=r"^btc:days row 1: network day must be an object \[row_invalid\]$"):
         client.fetch_days("btc", day, day)
 
 

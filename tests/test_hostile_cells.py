@@ -3,10 +3,10 @@
 A two-day proof-of-work or proof-of-stake bundle (days CSV, portfolio, apps
 and layer-2 file) is clean as built. One value (an empty string, a negative,
 an exponent, a float, a boolean, null, an array, an object, a 5,000-digit
-token, a lone surrogate, an impossible date, a form feed) replaces one cell,
-or one top-level value, of one file. ``validate`` and ``allocate`` under each
-method then exit 0, 1 or 2 with no uncaught exception, and whatever
-``validate`` passes, ``allocate`` allocates.
+token, a lone surrogate, an impossible date, a form feed, arrays nested past
+the recursion limit) replaces one cell, or one top-level value, of one file.
+``validate`` and ``allocate`` under each method then exit 0, 1 or 2 with no
+uncaught exception, and whatever ``validate`` passes, ``allocate`` allocates.
 """
 
 import json
@@ -21,13 +21,14 @@ from carbon_ledger.cli import main
 from test_validate_allocate import HEADER
 
 LONG = "1" * 5000  # beyond the interpreter's default 4,300-digit limit
+NESTED = "[" * 100_000 + "]" * 100_000  # deeper than the recursion limit
 
 # (CSV text, JSON literal) of each hostile value
 HOSTILE = [
     ("", '""'), ("-1", "-1"), ("-1", '"-1"'), ("1e5", "1e5"), ("1e5", '"1e5"'), ("1.5", "1.5"),
     ("true", "true"), ("null", "null"), ("[]", "[]"), ("{}", "{}"), (LONG, LONG), (LONG, f'"{LONG}"'),
     ("\ud800", '"\\ud800"'), ("2021-02-30", '"2021-02-30"'), ("1\f0", '"1\\f0"'), ("\f", '"\\f"'),
-    ("0", "0"), ("2", '"2"'),
+    ("0", "0"), ("2", '"2"'), (NESTED, NESTED),
 ]
 SENTINEL = "@@hostile@@"
 DATES = ("2021-01-01", "2021-01-02")

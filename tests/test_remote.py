@@ -18,6 +18,7 @@ from conftest import POW
 
 START = dt.date(2021, 1, 1)
 END = dt.date(2021, 1, 3)
+NESTED = "[" * 100_000 + "]" * 100_000  # deeper than the recursion limit
 
 
 def day_object(date: dt.date) -> dict:
@@ -62,7 +63,7 @@ class _Handler(BaseHTTPRequestHandler):
                     days.append(day_object(current))
                 current += dt.timedelta(days=1)
             body = json.dumps({"schema_version": "1", "days": days})
-        payload = body.encode()
+        payload = body if isinstance(body, bytes) else body.encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -185,6 +186,68 @@ class TestFetchDays:
         client = make_client(index_server, tmp_path)
         with pytest.raises(MalformedResponse):
             client.fetch_days("bitcoin", START, END)
+
+
+def series_args(server, cache) -> list[str]:
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    return ["series", "--remote", base, "--cache-dir", str(cache), "--network", "bitcoin", "--consensus", "pow",
+            "--from", "2021-01-01", "--to", "2021-01-03"]
+
+
+def cached_files(tmp_path) -> list[Path]:
+    return [path for path in (tmp_path / "cache").rglob("*") if path.is_file()]
+
+
+class TestResponsesReadLikeDaysFiles:
+    """A response is a UTF-8, schema-1 document with a days array, each date once, or it is malformed."""
+
+    DAYS = [day_object(START + dt.timedelta(days=offset)) for offset in range(3)]
+    MALFORMED = {
+        "schema-2": (json.dumps({"schema_version": "2", "days": DAYS}), "unsupported schema_version '2'"),
+        "no-schema": (json.dumps({"days": DAYS}), "missing schema_version"),
+        "utf-16": (json.dumps({"schema_version": "1", "days": DAYS}).encode("utf-16"), "not UTF-8 text"),
+        "nested": (NESTED, "not valid JSON"),
+        "no-days": (json.dumps({"schema_version": "1"}), "bitcoin:days: must be an array [schema_mismatch]"),
+    }
+
+    @pytest.mark.parametrize("body, message", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_and_nothing_cached(self, index_server, tmp_path, body, message):
+        index_server.config["body"] = body
+        client = make_client(index_server, tmp_path)
+        with pytest.raises(MalformedResponse) as excinfo:
+            client.fetch_days("bitcoin", START, END)
+        assert message in str(excinfo.value)
+        assert cached_files(tmp_path) == []
+
+    @pytest.mark.parametrize("body, message", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_exits_one_through_the_cli(self, index_server, tmp_path, body, message):
+        from click.testing import CliRunner
+
+        from carbon_ledger.cli import main
+
+        index_server.config["body"] = body
+        result = CliRunner().invoke(main, series_args(index_server, tmp_path / "cache"))
+        assert result.exit_code == 1, result.output
+        assert len(result.stderr.splitlines()) == 1 and message in result.stderr
+        assert result.stdout == ""
+        assert cached_files(tmp_path) == []
+
+    def test_a_date_listed_twice(self, index_server, tmp_path):
+        index_server.config["body"] = json.dumps({"schema_version": "1", "days": [*self.DAYS, self.DAYS[1]]})
+        client = make_client(index_server, tmp_path)
+        with pytest.raises(MalformedResponse) as excinfo:
+            client.fetch_days("bitcoin", START, END)
+        assert str(excinfo.value) == "bitcoin:days row 4 column 'date': duplicate date 2021-01-02 [duplicate_date]"
+        assert cached_files(tmp_path) == []
+
+    def test_every_bad_row_is_named(self, index_server, tmp_path):
+        days = [dict(day, energy_wh="-5") if offset != 1 else day for offset, day in enumerate(self.DAYS)]
+        index_server.config["body"] = json.dumps({"schema_version": "1", "days": days})
+        client = make_client(index_server, tmp_path)
+        with pytest.raises(MalformedResponse) as excinfo:
+            client.fetch_days("bitcoin", START, END)
+        rows = [problem.split(":", 2)[1] for problem in str(excinfo.value).split("; ")]
+        assert rows == ["days row 1 column 'energy_wh'", "days row 3 column 'energy_wh'"]
 
 
 class TestRemoteThroughCli:
@@ -320,6 +383,30 @@ class TestCacheRecovery:
         assert client.fetch_count == 2
         assert again == first
         assert entry.read_text() == intact
+
+    def test_a_nested_entry_is_a_miss(self, index_server, tmp_path):
+        client = make_client(index_server, tmp_path)
+        first = client.fetch_days("bitcoin", START, END)
+        entry = client._cache_path("bitcoin", END)
+        intact = entry.read_text()
+        entry.write_text(NESTED)
+        assert client.fetch_days("bitcoin", START, END) == first
+        assert client.fetch_count == 2
+        assert entry.read_text() == intact
+
+    def test_a_failed_write_leaves_no_temp_file(self, index_server, tmp_path):
+        from click.testing import CliRunner
+
+        from carbon_ledger.cli import main
+
+        client = make_client(index_server, tmp_path)
+        blocked = client._cache_path("bitcoin", dt.date(2021, 1, 2))
+        blocked.mkdir(parents=True)  # a directory where the entry goes: the rename fails
+        with pytest.raises(OSError):
+            client.fetch_days("bitcoin", START, END)
+        result = CliRunner().invoke(main, series_args(index_server, tmp_path / "cache"))
+        assert result.exit_code == 2, result.output
+        assert sorted(path.name for path in blocked.parent.iterdir()) == ["2021-01-01.json", "2021-01-02.json"]
 
     def test_writes_leave_no_temp_files(self, index_server, tmp_path):
         client = make_client(index_server, tmp_path)
