@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import engine
-from .errors import NoTransactions, NotAToken, RowProblem, ShareOverflow
+from .errors import ArgumentMismatch, NoTransactions, NotAToken, RowProblem, ShareOverflow
 from .model import (
     Activity,
     AllocationResult,
@@ -65,21 +65,26 @@ class TokenHolding:
 
 def _check_app_day(app: AppDay, day: NetworkDay) -> None:
     if app.date != day.date:
-        raise ValueError(f"app day {app.date} does not match network day {day.date}")
+        raise ArgumentMismatch(f"app day {app.date} does not match network day {day.date}")
 
 
 def app_pool(day: NetworkDay, weights: engine.MethodWeights, app: AppDay) -> Energy:
     """The app's slice of the day's transaction pool."""
-    _check_app_day(app, day)
-    return engine.transaction_pool(day, weights) * app.app_fee_share
+    return Energy(_app_plan(day, weights, app, Method.TRANSACTION_BASED, engine.NETWORK_SCOPE).transaction.wh)
 
 
 def unattributed_remainder(
     day: NetworkDay, weights: engine.MethodWeights, apps: list[AppDay] | tuple[AppDay, ...]
 ) -> Energy:
     """Transaction-pool energy claimed by no registered app; stays at network level."""
-    claimed = sum((app.app_fee_share.value for app in apps), Fraction(0))
-    return engine.transaction_pool(day, weights) * Share(1 - claimed)
+    pool = engine.plan_day(day, weights, Method.HYBRID).transaction.wh
+    claimed = Fraction(0)
+    for app in apps:
+        _check_app_day(app, day)
+        claimed += app.app_fee_share.value
+    if claimed > 1:
+        raise ShareOverflow(f"{day.date}: app fee shares sum to {claimed} > 1", "app_fee_share")
+    return Energy(pool * (1 - claimed))
 
 
 def _app_plan(
@@ -89,29 +94,23 @@ def _app_plan(
     method: Method,
     scope: tuple[str, ...],
 ) -> engine.DayPlan:
-    """The app-day's plan: both pools are slices of the app's share of the transaction pool.
+    """The app-day's plan: the day's hybrid plan, both pools cut to the app's slice of its transaction pool.
 
     The app's fee (or gas) total is derived from its declared share of the
     network total, so the same basis hierarchy as network-level allocation
     applies within the app. A hybrid plan adds the host's holding and
-    transaction weights to its pools, once the weights are checked.
+    transaction weights to its pools.
     """
-    engine.require_weights(day, weights)
+    plan = engine.plan_day(day, weights, Method.HYBRID, scope + (f"app:{app.app_id}",))
     _check_app_day(app, day)
     hybrid = method is Method.HYBRID
     holding_factors = (("app_holding_weight", weights.holding_weight.value),) if hybrid else ()
     transaction_factors = (("app_transaction_weight", weights.transaction_weight.value),) if hybrid else ()
-    # the day's plan without weights; its pools, method and totals are replaced below
-    plan = engine.plan_day(day, None, Method.TRANSACTION_BASED, scope + (f"app:{app.app_id}",))
     base, fee_share = day.energy.wh, app.app_fee_share.value
-    app_factors = (
-        ("transaction_weight", weights.transaction_weight.value),
-        ("app_fee_share", fee_share),
-    )
+    app_factors = plan.transaction.factors + (("app_fee_share", fee_share),)
     return replace(
         plan,
         method=method,
-        weight_source=weights.source,
         holding=engine.Pool.of(base, app_factors + holding_factors),
         transaction=engine.Pool.of(base, app_factors + transaction_factors),
         fee_total=plan.fee_total * fee_share if plan.fee_total is not None else None,
@@ -125,7 +124,7 @@ def _app_transaction_result(
 ) -> AllocationResult:
     """Entity share of the app's own activity, on the app-scoped basis."""
     if tx.date != plan.day.date:
-        raise ValueError(f"transaction dated {tx.date} does not match day {plan.day.date}")
+        raise ArgumentMismatch(f"transaction dated {tx.date} does not match day {plan.day.date}")
     if app.app_tx_count == 0:
         raise NoTransactions(
             f"{app.app_id} on {app.date}: transaction record exists but the app reports none"
@@ -135,9 +134,9 @@ def _app_transaction_result(
 
 def _token_result(plan: engine.DayPlan, app: AppDay, holding: TokenHolding) -> AllocationResult:
     if holding.date != plan.day.date:
-        raise ValueError(f"token holding dated {holding.date} does not match day {plan.day.date}")
+        raise ArgumentMismatch(f"token holding dated {holding.date} does not match day {plan.day.date}")
     if holding.app_id != app.app_id:
-        raise ValueError(f"token holding is for app {holding.app_id!r}, not {app.app_id!r}")
+        raise ArgumentMismatch(f"token holding is for app {holding.app_id!r}, not {app.app_id!r}")
     if app.token_supply is None:
         raise NotAToken(f"{app.app_id} has no token supply; use transaction-based allocation")
     if holding.amount.value > app.token_supply.value:

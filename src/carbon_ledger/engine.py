@@ -10,8 +10,9 @@ results carry a replayable audit trail.
 What every record of a day shares (pools, share denominators, carbon factor)
 is computed once in a ``DayPlan``; each record then costs one share and the
 plan's one result constructor. Network, app and layer-2 results all come out
-of that constructor, and the period summary sums each day's shares before
-multiplying by the day's pool.
+of that constructor, every pool a library caller asks for is read off a plan,
+and the period summary sums each day's shares before multiplying by the day's
+pool.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
+    ArgumentMismatch,
     BasisUnavailable,
     MalformedDay,
     MissingColumn,
@@ -65,7 +67,7 @@ class MethodWeights:
 
     def __post_init__(self):
         if self.holding_weight.value + self.transaction_weight.value != 1:
-            raise ValueError("holding and transaction weights must sum to 1 exactly")
+            raise ArgumentMismatch("holding and transaction weights must sum to 1 exactly")
 
 
 def fee_share(day: NetworkDay) -> Share:
@@ -92,29 +94,10 @@ def method_weights(day: NetworkDay, params: ConsensusParams) -> MethodWeights:
         source = "pos_tx_share"
     return MethodWeights(
         date=day.date,
-        holding_weight=tx_weight.complement(),
+        holding_weight=Share(1 - tx_weight.value),
         transaction_weight=tx_weight,
         source=source,
     )
-
-
-def holding_pool(day: NetworkDay, weights: MethodWeights) -> Energy:
-    """Slice of the day's energy attributed to holdings under the hybrid split."""
-    return day.energy * weights.holding_weight
-
-
-def transaction_pool(day: NetworkDay, weights: MethodWeights) -> Energy:
-    """Slice of the day's energy attributed to transactions under the hybrid split."""
-    return day.energy * weights.transaction_weight
-
-
-def require_weights(day: NetworkDay, weights: MethodWeights | None) -> MethodWeights:
-    """The weights, once they are present and computed for ``day``; ValueError otherwise."""
-    if weights is None:
-        raise ValueError("hybrid allocation requires method weights")
-    if weights.date != day.date:
-        raise ValueError(f"weights are for {weights.date}, day is {day.date}")
-    return weights
 
 
 @dataclass(frozen=True)
@@ -174,10 +157,13 @@ def plan_day(
     method: Method,
     scope: tuple[str, ...] = NETWORK_SCOPE,
 ) -> DayPlan:
-    """The day's pools and share denominators under ``method`` (hybrid needs weights)."""
+    """The day's pools and share denominators under ``method`` (hybrid needs the day's weights)."""
     base = day.energy.wh
     if method is Method.HYBRID:
-        weights = require_weights(day, weights)
+        if weights is None:
+            raise ArgumentMismatch("hybrid allocation requires method weights")
+        if weights.date != day.date:
+            raise ArgumentMismatch(f"weights are for {weights.date}, day is {day.date}")
         holding = Pool.of(base, (("holding_weight", weights.holding_weight.value),))
         transaction = Pool.of(base, (("transaction_weight", weights.transaction_weight.value),))
         source = weights.source
@@ -197,6 +183,16 @@ def plan_day(
         count_total=day.tx_count,
         carbon_per_wh=day.emission_factor / 1000 if day.emission_factor is not None else None,
     )
+
+
+def holding_pool(day: NetworkDay, weights: MethodWeights) -> Energy:
+    """Slice of the day's energy attributed to holdings under the hybrid split."""
+    return Energy(plan_day(day, weights, Method.HYBRID).holding.wh)
+
+
+def transaction_pool(day: NetworkDay, weights: MethodWeights) -> Energy:
+    """Slice of the day's energy attributed to transactions under the hybrid split."""
+    return Energy(plan_day(day, weights, Method.HYBRID).transaction.wh)
 
 
 def _holding_result(plan: DayPlan, holding: HoldingRecord) -> AllocationResult:
@@ -222,9 +218,9 @@ def allocate_holding(
 ) -> AllocationResult:
     """Allocate one day's holding exposure under the holding-based or hybrid method."""
     if holding.date != day.date:
-        raise ValueError(f"holding dated {holding.date} does not match day {day.date}")
+        raise ArgumentMismatch(f"holding dated {holding.date} does not match day {day.date}")
     if method not in (Method.HOLDING_BASED, Method.HYBRID):
-        raise ValueError(f"holdings are not allocated under {method.value}-based accounting")
+        raise ArgumentMismatch(f"holdings are not allocated under {method.value}-based accounting")
     return _holding_result(plan_day(day, weights, method, scope), holding)
 
 
@@ -280,9 +276,9 @@ def allocate_transaction(
 ) -> AllocationResult:
     """Allocate one day's transaction activity under the transaction-based or hybrid method."""
     if tx.date != day.date:
-        raise ValueError(f"transaction dated {tx.date} does not match day {day.date}")
+        raise ArgumentMismatch(f"transaction dated {tx.date} does not match day {day.date}")
     if method not in (Method.TRANSACTION_BASED, Method.HYBRID):
-        raise ValueError(f"transactions are not allocated under {method.value}-based accounting")
+        raise ArgumentMismatch(f"transactions are not allocated under {method.value}-based accounting")
     return transaction_result(plan_day(day, weights, method, scope), tx, params.kind)
 
 
@@ -363,7 +359,7 @@ def _summarize(
 def check_days_ordered(days: tuple[NetworkDay, ...] | list[NetworkDay]) -> None:
     for previous, current in zip(days, days[1:]):
         if current.date <= previous.date:
-            raise ValueError(
+            raise ArgumentMismatch(
                 f"days must be strictly increasing; {current.date} follows {previous.date}"
             )
 

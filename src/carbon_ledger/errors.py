@@ -51,6 +51,12 @@ class RowProblem(CarbonLedgerError, ValueError):
         super().__init__(reason if column is None else f"{column}: {reason}")
 
 
+class ArgumentMismatch(CarbonLedgerError, ValueError):
+    """Library arguments that do not fit together: another day's weights, records, apps or
+    layer-2 days, a method that does not allocate the activity, unordered days, or weights
+    that do not sum to 1."""
+
+
 class MissingDay(CarbonLedgerError):
     """Portfolio records reference dates with no matching network day."""
 

@@ -13,7 +13,7 @@ import datetime as _dt
 from dataclasses import dataclass, replace
 
 from . import engine
-from .errors import RowProblem
+from .errors import ArgumentMismatch, RowProblem
 from .model import AllocationResult, ConsensusParams, Energy, Method, NetworkDay, Portfolio, Share
 
 
@@ -42,15 +42,15 @@ class Layer2Day:
 def l2_inherited(l1_day: NetworkDay, l1_weights: engine.MethodWeights, l2: Layer2Day) -> Energy:
     """The layer-1 transaction-pool slice attributable to the L2's anchoring."""
     if l2.date != l1_day.date:
-        raise ValueError(f"layer-2 day {l2.date} does not match layer-1 day {l1_day.date}")
-    return engine.transaction_pool(l1_day, l1_weights) * l2.l1_fee_share
+        raise ArgumentMismatch(f"layer-2 day {l2.date} does not match layer-1 day {l1_day.date}")
+    return Energy(engine.plan_day(l1_day, l1_weights, Method.HYBRID).transaction.wh * l2.l1_fee_share.value)
 
 
 def l2_total_footprint(
     l1_day: NetworkDay, l1_weights: engine.MethodWeights, l2: Layer2Day
 ) -> Energy:
     """Inherited layer-1 attribution plus the L2's own infrastructure energy."""
-    return l2_inherited(l1_day, l1_weights, l2) + l2.infra_energy
+    return Energy(l2_inherited(l1_day, l1_weights, l2).wh + l2.infra_energy.wh)
 
 
 def synthetic_day(total: Energy, l2: Layer2Day) -> NetworkDay:

@@ -84,16 +84,6 @@ class Energy:
     def value_in(self, unit: str) -> Fraction:
         return self.wh / _unit_scale(unit)
 
-    def __add__(self, other: "Energy") -> "Energy":
-        return Energy(self.wh + other.wh)
-
-    def __mul__(self, factor) -> "Energy":
-        if isinstance(factor, Share):
-            factor = factor.value
-        return Energy(self.wh * _as_fraction(factor))
-
-    __rmul__ = __mul__
-
 
 def _unit_scale(unit: str) -> Fraction:
     try:
@@ -142,9 +132,6 @@ class Share:
             object.__setattr__(self, "value", _as_fraction(self.value))
         if not 0 <= self.value.numerator <= self.value.denominator:
             raise ValueError(f"share must be within [0, 1], got {self.value}")
-
-    def complement(self) -> "Share":
-        return Share(1 - self.value)
 
 
 @dataclass(frozen=True, order=True, slots=True)

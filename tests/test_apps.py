@@ -74,6 +74,13 @@ class TestAppPool:
         remainder = unattributed_remainder(btc_day, weights, apps).wh
         assert claimed + remainder == transaction_pool(btc_day, weights).wh
 
+    def test_over_claimed_pool_is_a_share_overflow(self, btc_day):
+        weights = method_weights(btc_day, POW)
+        apps = [make_app(share="0.75"), make_app(share="0.5")]
+        with pytest.raises(ShareOverflow, match=r"^2021-01-01: app fee shares sum to 5/4 > 1$") as caught:
+            unattributed_remainder(btc_day, weights, apps)
+        assert caught.value.column == "app_fee_share"
+
 
 class TestAppTransaction:
     def test_single_app_tx_takes_full_pool(self, btc_day):
@@ -230,7 +237,9 @@ class TestAppHybrid:
 class TestWeightsDate:
     """Every app route refuses another day's weights, with network allocation's error."""
 
-    @pytest.mark.parametrize("route", ["transaction", "token", "hybrid", "hybrid_without_token"])
+    @pytest.mark.parametrize(
+        "route", ["transaction", "token", "hybrid", "hybrid_without_token", "pool", "remainder"]
+    )
     def test_other_day_weights_rejected(self, btc_day, route):
         other = method_weights(pow_day(date=D1 + dt.timedelta(days=1)), POW)
         app, tokenless = make_app(supply="1000"), make_app(supply=None)
@@ -241,6 +250,8 @@ class TestWeightsDate:
             "token": lambda: allocate_token_holding(btc_day, other, app, holding),
             "hybrid": lambda: allocate_app_hybrid(btc_day, other, app, holding, (tx,), POW),
             "hybrid_without_token": lambda: allocate_app_hybrid(btc_day, other, tokenless, None, (tx,), POW),
+            "pool": lambda: app_pool(btc_day, other, app),
+            "remainder": lambda: unattributed_remainder(btc_day, other, (app,)),
         }
         with pytest.raises(ValueError, match=r"^weights are for 2021-01-02, day is 2021-01-01$"):
             calls[route]()
@@ -257,6 +268,8 @@ class TestAppInputsChecked:
             lambda: allocate_app_transaction(btc_day, weights, app, tx, POW),
             lambda: allocate_token_holding(btc_day, weights, app, holding),
             lambda: allocate_app_hybrid(btc_day, weights, app, holding, (tx,), POW),
+            lambda: app_pool(btc_day, weights, app),
+            lambda: unattributed_remainder(btc_day, weights, (app,)),
         ):
             with pytest.raises(ValueError, match=message):
                 call()

@@ -7,6 +7,7 @@ import pytest
 
 from carbon_ledger import (
     Activity,
+    ArgumentMismatch,
     BasisUnavailable,
     CoinAmount,
     HoldingRecord,
@@ -106,6 +107,14 @@ class TestPools:
         weights = method_weights(btc_day, POW)
         total = holding_pool(btc_day, weights).wh + transaction_pool(btc_day, weights).wh
         assert total == btc_day.energy.wh
+
+    @pytest.mark.parametrize("pool", [holding_pool, transaction_pool], ids=lambda f: f.__name__)
+    def test_pool_refuses_weights_not_of_the_day(self, btc_day, pool):
+        other = method_weights(pow_day(date=D1 + dt.timedelta(days=1), fees="1", reward="3"), POW)
+        with pytest.raises(ArgumentMismatch, match=r"^weights are for 2021-01-02, day is 2021-01-01$"):
+            pool(btc_day, other)
+        with pytest.raises(ArgumentMismatch, match=r"^hybrid allocation requires method weights$"):
+            pool(btc_day, None)
 
 
 class TestAllocateHolding:

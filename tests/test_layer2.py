@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from carbon_ledger import (
+    ArgumentMismatch,
     CoinAmount,
     Energy,
     HoldingRecord,
@@ -80,6 +81,14 @@ class TestTotalFootprint:
         l2 = make_l2(l1_date=D1 + dt.timedelta(days=1))
         with pytest.raises(ValueError):
             l2_inherited(btc_day, weights, l2)
+
+    @pytest.mark.parametrize("footprint", [l2_inherited, l2_total_footprint], ids=lambda f: f.__name__)
+    def test_refuses_weights_not_of_the_day(self, btc_day, footprint):
+        other = method_weights(pow_day(date=D1 + dt.timedelta(days=1), fees="1", reward="3"), POW)
+        with pytest.raises(ArgumentMismatch, match=r"^weights are for 2021-01-02, day is 2021-01-01$"):
+            footprint(btc_day, other, make_l2())
+        with pytest.raises(ArgumentMismatch, match=r"^hybrid allocation requires method weights$"):
+            footprint(btc_day, None, make_l2())
 
     def test_no_double_counting_against_l1(self, btc_day):
         # the inherited slice plus the rest of the transaction pool is exact
