@@ -106,13 +106,13 @@ def _app_plan(
     hybrid = method is Method.HYBRID
     holding_factors = (("app_holding_weight", weights.holding_weight.value),) if hybrid else ()
     transaction_factors = (("app_transaction_weight", weights.transaction_weight.value),) if hybrid else ()
-    base, fee_share = day.energy.wh, app.app_fee_share.value
-    app_factors = plan.transaction.factors + (("app_fee_share", fee_share),)
+    fee_share = app.app_fee_share.value
+    app_pool = plan.transaction.narrowed((("app_fee_share", fee_share),))
     return replace(
         plan,
         method=method,
-        holding=engine.Pool.of(base, app_factors + holding_factors),
-        transaction=engine.Pool.of(base, app_factors + transaction_factors),
+        holding=app_pool.narrowed(holding_factors),
+        transaction=app_pool.narrowed(transaction_factors),
         fee_total=plan.fee_total * fee_share if plan.fee_total is not None else None,
         gas_total=plan.gas_total * fee_share if plan.gas_total is not None else None,
         count_total=app.app_tx_count,
@@ -139,13 +139,11 @@ def _token_result(plan: engine.DayPlan, app: AppDay, holding: TokenHolding) -> A
         raise ArgumentMismatch(f"token holding is for app {holding.app_id!r}, not {app.app_id!r}")
     if app.token_supply is None:
         raise NotAToken(f"{app.app_id} has no token supply; use transaction-based allocation")
-    if holding.amount.value > app.token_supply.value:
-        raise ShareOverflow(
-            f"{holding.entity_id}: token amount {holding.amount.value} exceeds supply "
-            f"{app.token_supply.value}"
-        )
-    share = holding.amount.value / app.token_supply.value
-    return plan.result(Activity.HOLDING, holding.entity_id, share, "token")
+    amount, supply = holding.amount.value, app.token_supply.value
+    quantity, total = amount.numerator * supply.denominator, amount.denominator * supply.numerator
+    if quantity > total:
+        raise ShareOverflow(f"{holding.entity_id}: token amount {amount} exceeds supply {supply}")
+    return plan.result(Activity.HOLDING, holding.entity_id, quantity, total, "token")
 
 
 def allocate_app_transaction(

@@ -8,18 +8,23 @@ day's marginal transaction share. Everything is a pure function of its inputs;
 results carry a replayable audit trail.
 
 What every record of a day shares (pools, share denominators, carbon factor)
-is computed once in a ``DayPlan``; each record then costs one share and the
-plan's one result constructor. Network, app and layer-2 results all come out
-of that constructor, every pool a library caller asks for is read off a plan,
-and the period summary sums each day's shares before multiplying by the day's
-pool.
+is computed once in a ``DayPlan``; each record then costs one share, kept as
+two unreduced integers, and the plan's one result constructor. Network, app
+and layer-2 results all come out of that constructor, and every pool a
+library caller asks for is read off a plan. A result holds its pool object
+and its two integers: the period summary adds the integers of each day's
+shares that have one denominator before multiplying by the day's pool, the
+renderer rounds the integer products, and only a library caller reading a
+result's energy, audit or carbon reduces a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import (
     ArgumentMismatch,
@@ -33,7 +38,6 @@ from .errors import (
 from .model import (
     Activity,
     AllocationResult,
-    AuditTrail,
     Carbon,
     Consensus,
     ConsensusParams,
@@ -41,6 +45,7 @@ from .model import (
     HoldingRecord,
     Method,
     NetworkDay,
+    Pool,
     Portfolio,
     Share,
     TransactionRecord,
@@ -101,54 +106,37 @@ def method_weights(day: NetworkDay, params: ConsensusParams) -> MethodWeights:
 
 
 @dataclass(frozen=True)
-class Pool:
-    """One pool: the named factors taking the base energy down to it, and its energy."""
-
-    factors: tuple[tuple[str, Fraction], ...]
-    wh: Fraction
-
-    @classmethod
-    def of(cls, base_wh: Fraction, factors: tuple[tuple[str, Fraction], ...]) -> "Pool":
-        weight = Fraction(1)
-        for _, factor in factors:
-            weight *= factor
-        return cls(factors, base_wh * weight)
-
-
-@dataclass(frozen=True)
 class DayPlan:
     """What every result of one day shares, computed once for the day.
 
-    The two pools are shared by all results drawing on them (their factor
-    tuples become the audits' ``pool_factors``). ``effective_supply`` and the
-    fee, gas and count totals are the share denominators; ``carbon_per_wh``
-    is the emission factor per watt-hour, None when the day has none.
+    The two pools are shared by all results drawing on them.
+    ``effective_supply`` and the fee, gas and count totals are the share
+    denominators.
     """
 
     day: NetworkDay
     method: Method
-    scope: tuple[str, ...]
-    weight_source: str | None
     holding: Pool
     transaction: Pool
     effective_supply: Fraction
     fee_total: Fraction | None
     gas_total: Fraction | None
     count_total: int
-    carbon_per_wh: Fraction | None
 
     def pool(self, activity: Activity) -> Pool:
         return self.holding if activity is Activity.HOLDING else self.transaction
 
-    def result(self, activity: Activity, entity_id: str, share: Fraction, basis: str) -> AllocationResult:
-        """The one result constructor: the entity's ``share`` of the activity's pool."""
-        day, pool = self.day, self.pool(activity)
-        energy = pool.wh * share
-        audit = AuditTrail(
-            self.scope, day.energy.wh, pool.factors, share, basis, self.weight_source, day.filled_forward
+    def result(
+        self, activity: Activity, entity_id: str, quantity: int, total: int, basis: str
+    ) -> AllocationResult:
+        """The one result constructor: the entity's share ``quantity / total`` of the activity's pool.
+
+        The two integers need not be reduced; nothing is reduced until a
+        library caller reads the result's energy, audit or carbon.
+        """
+        return AllocationResult.share_of(
+            entity_id, self.day.date, self.method, activity, self.pool(activity), quantity, total, basis
         )
-        carbon = Carbon(energy * self.carbon_per_wh) if self.carbon_per_wh is not None else None
-        return AllocationResult(entity_id, day.date, self.method, activity, Energy(energy), audit, carbon)
 
 
 def plan_day(
@@ -158,30 +146,28 @@ def plan_day(
     scope: tuple[str, ...] = NETWORK_SCOPE,
 ) -> DayPlan:
     """The day's pools and share denominators under ``method`` (hybrid needs the day's weights)."""
-    base = day.energy.wh
     if method is Method.HYBRID:
         if weights is None:
             raise ArgumentMismatch("hybrid allocation requires method weights")
         if weights.date != day.date:
             raise ArgumentMismatch(f"weights are for {weights.date}, day is {day.date}")
-        holding = Pool.of(base, (("holding_weight", weights.holding_weight.value),))
-        transaction = Pool.of(base, (("transaction_weight", weights.transaction_weight.value),))
         source = weights.source
+        holding_factors = (("holding_weight", weights.holding_weight.value),)
+        transaction_factors = (("transaction_weight", weights.transaction_weight.value),)
     else:
-        holding = transaction = Pool(factors=(), wh=base)
-        source = None
+        source, holding_factors, transaction_factors = None, (), ()
+    base = day.energy.wh
+    carbon_per_wh = day.emission_factor / 1000 if day.emission_factor is not None else None
+    whole = Pool(scope, base, (), base, source, day.filled_forward, carbon_per_wh)
     return DayPlan(
         day=day,
         method=method,
-        scope=scope,
-        weight_source=source,
-        holding=holding,
-        transaction=transaction,
+        holding=whole.narrowed(holding_factors),
+        transaction=whole.narrowed(transaction_factors),
         effective_supply=day.effective_supply(),
         fee_total=day.tx_fees_total.value if day.tx_fees_total is not None else None,
         gas_total=day.gas_total,
         count_total=day.tx_count,
-        carbon_per_wh=day.emission_factor / 1000 if day.emission_factor is not None else None,
     )
 
 
@@ -198,15 +184,22 @@ def transaction_pool(day: NetworkDay, weights: MethodWeights) -> Energy:
 def _holding_result(plan: DayPlan, holding: HoldingRecord) -> AllocationResult:
     """Entity share of the (lost-coin-adjusted) circulating supply, as a result."""
     amount, effective = holding.amount.value, plan.effective_supply
-    if amount > effective:
+    quantity, total = amount.numerator * effective.denominator, amount.denominator * effective.numerator
+    if quantity > total:
         raise ShareOverflow(f"{plan.day.date}: holding {amount} exceeds effective supply {effective}")
-    return plan.result(Activity.HOLDING, holding.entity_id, amount / effective, "holding")
+    return plan.result(Activity.HOLDING, holding.entity_id, quantity, total, "holding")
 
 
 def transaction_result(plan: DayPlan, tx: TransactionRecord, kind: Consensus) -> AllocationResult:
     """The record's share of the transaction pool, on the basis ``transaction_quantities`` picks."""
     basis, quantity, total = transaction_quantities(tx, kind, plan.fee_total, plan.gas_total, plan.count_total)
-    return plan.result(Activity.TRANSACTION, tx.entity_id, Fraction(quantity, total), basis)
+    return plan.result(
+        Activity.TRANSACTION,
+        tx.entity_id,
+        quantity.numerator * total.denominator,
+        quantity.denominator * total.numerator,
+        basis,
+    )
 
 
 def allocate_holding(
@@ -317,30 +310,41 @@ class PortfolioAllocation:
     summary: PeriodSummary
 
 
-def _summarize(
-    results: list[AllocationResult], plans: dict[_dt.date, DayPlan], activity: Activity
-) -> ActivitySummary | None:
-    """Period aggregate from one share sum per day: a day's energy is its pool times that sum."""
-    day_shares: dict[_dt.date, Fraction] = {}
+def _summarize(results: Iterable[AllocationResult], activity: Activity) -> ActivitySummary | None:
+    """Period aggregate from one share sum per day: a day's energy is its pool times that sum.
+
+    The quantities of a day's shares that have one denominator (one basis, or
+    holdings of one precision) are added as integers; a day can mix
+    denominators, for instance when a transaction falls back from gas to fee.
+    The day's groups then meet over the least common multiple of their
+    denominators, so each day makes one ``Fraction``.
+    """
+    quantities: dict[_dt.date, dict[int, int]] = {}
+    pools: dict[_dt.date, Pool] = {}
     count = 0
     for r in results:
         if r.activity is activity:
-            day_shares[r.date] = day_shares.get(r.date, 0) + r.audit.entity_share
+            day = quantities.get(r.date)
+            if day is None:
+                day = quantities[r.date] = {}
+                pools[r.date] = r.pool
+            day[r.total] = day.get(r.total, 0) + r.quantity
             count += 1
     if not count:
         return None
-    days = len(day_shares)
+    days = len(quantities)
     total_wh = pool_sum = share_sum = Fraction(0)
     carbons = []
-    for date, shares in day_shares.items():
-        plan = plans[date]
-        pool_wh = plan.pool(activity).wh
-        energy = pool_wh * shares
+    for date, groups in quantities.items():
+        common = math.lcm(*groups)
+        shares = Fraction(sum(quantity * (common // total) for total, quantity in groups.items()), common)
+        pool = pools[date]
+        energy = pool.wh * shares
         total_wh += energy
-        pool_sum += pool_wh
+        pool_sum += pool.wh
         share_sum += shares
-        if plan.carbon_per_wh is not None:
-            carbons.append(energy * plan.carbon_per_wh)
+        if pool.carbon_per_wh is not None:
+            carbons.append(energy * pool.carbon_per_wh)
     mean_pool = pool_sum / days
     mean_share = share_sum / days
     return ActivitySummary(
@@ -353,6 +357,20 @@ def _summarize(
         mean_daily_share=mean_share,
         ratio_of_averages_energy=Energy(mean_pool * mean_share),
         total_carbon=Carbon(sum(carbons, Fraction(0))) if carbons else None,
+    )
+
+
+def summarize(method: Method, results: Iterable[AllocationResult]) -> PeriodSummary:
+    """The period summary of one allocation's results, as ``allocate_portfolio`` returns them.
+
+    Each activity's results of one date must draw on one pool, as the
+    results of one day plan do.
+    """
+    results = tuple(results)
+    return PeriodSummary(
+        method=method,
+        holding=_summarize(results, Activity.HOLDING),
+        transaction=_summarize(results, Activity.TRANSACTION),
     )
 
 
@@ -426,10 +444,5 @@ def allocate_portfolio(
     if method is not Method.HOLDING_BASED:
         results += [transaction_result(plan_for(t.date), t, params.kind) for t in portfolio.transactions]
 
-    results.sort(key=AllocationResult.sort_key)
-    summary = PeriodSummary(
-        method=method,
-        holding=_summarize(results, plans, Activity.HOLDING),
-        transaction=_summarize(results, plans, Activity.TRANSACTION),
-    )
-    return PortfolioAllocation(method=method, results=tuple(results), summary=summary)
+    ordered = tuple(sorted(results, key=AllocationResult.sort_key))
+    return PortfolioAllocation(method=method, results=ordered, summary=summarize(method, ordered))

@@ -53,8 +53,9 @@ class RowProblem(CarbonLedgerError, ValueError):
 
 class ArgumentMismatch(CarbonLedgerError, ValueError):
     """Library arguments that do not fit together: another day's weights, records, apps or
-    layer-2 days, a method that does not allocate the activity, unordered days, or weights
-    that do not sum to 1."""
+    layer-2 days, a method that does not allocate the activity, unordered days, weights
+    that do not sum to 1, a result whose energy or carbon is not its audit's replay, a
+    significant-digit count below 1, or a value with no finite decimal to render."""
 
 
 class MissingDay(CarbonLedgerError):

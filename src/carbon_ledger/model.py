@@ -11,18 +11,20 @@ Design rules that everything below follows:
   numerator and denominator), since a Fraction comparison costs several
   Python calls and ingestion builds hundreds of thousands of these values.
 * All types are immutable values, safe to share across concurrent tasks,
-  and slotted: no per-instance ``__dict__``.
+  and slotted: no per-instance ``__dict__``. An ``AllocationResult`` keeps
+  what it reduces on first read; that cache never changes a value.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
-from .errors import RowProblem
+from .errors import ArgumentMismatch, RowProblem
 from .numeric import DEFAULT_SIG_DIGITS, format_sig, parse_decimal
 
 Numeric = Union[Fraction, int, str]
@@ -285,6 +287,34 @@ class Portfolio:
         return Portfolio(self.network_id, tuple(holdings), tuple(transactions))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Pool:
+    """What every result drawing on one pool shares: where its energy comes from, the energy, its carbon.
+
+    ``base_wh`` is the footprint the pool derives from (a network day's
+    energy, or a layer-2 total), and the ordered named ``factors`` shrink it
+    to the pool's ``wh``. ``scope``, ``weight_source`` and ``filled_forward``
+    go into each result's audit. ``carbon_per_wh`` is the emission factor
+    per watt-hour, None when the day has none. A pool is one object shared
+    by its results, so pools compare (and hash) by identity.
+    """
+
+    scope: tuple[str, ...]
+    base_wh: Fraction
+    factors: tuple[tuple[str, Fraction], ...]
+    wh: Fraction
+    weight_source: str | None
+    filled_forward: bool
+    carbon_per_wh: Fraction | None
+
+    def narrowed(self, factors: tuple[tuple[str, Fraction], ...]) -> "Pool":
+        """This pool cut down by more named factors."""
+        wh = self.wh
+        for _, factor in factors:
+            wh *= factor
+        return replace(self, factors=self.factors + factors, wh=wh)
+
+
 @dataclass(frozen=True, slots=True)
 class AuditTrail:
     """Replayable multiplication chain behind one allocation.
@@ -321,17 +351,117 @@ class AuditTrail:
         return self.pool_wh * self.entity_share
 
 
-@dataclass(frozen=True, slots=True)
-class AllocationResult:
-    """Energy (and optionally carbon) attributed to one entity-day cell."""
+_RESULT_FIELDS = ("entity_id", "date", "method", "activity", "energy", "audit", "carbon")
 
-    entity_id: str
-    date: _dt.date
-    method: Method
-    activity: Activity
-    energy: Energy
-    audit: AuditTrail
-    carbon: Carbon | None = None
+
+class AllocationResult:
+    """Energy (and optionally carbon) attributed to one entity-day cell.
+
+    A result is the entity's share ``quantity / total`` of ``pool``: two
+    integers, not reduced, and the pool object its day's results share. The
+    engine builds it that way (``share_of``); ``energy``, ``audit`` and
+    ``carbon`` are reduced from them on first read and kept. Rendering and
+    the period summary read the integers and the pool, so they build no
+    ``Fraction`` per result.
+
+    Built positionally from its seven values, a result keeps them and reads
+    its pool and share off the audit. Its energy must then be the audit's
+    replay, and its carbon zero on zero energy, or ``ArgumentMismatch`` is
+    raised. Equality, hashing and repr read the seven values. The attributes
+    are read-only.
+    """
+
+    __slots__ = (
+        "_entity_id", "_date", "_method", "_activity", "_pool", "_quantity", "_total", "_basis", "_values"
+    )
+
+    def __init__(
+        self,
+        entity_id: str,
+        date: _dt.date,
+        method: Method,
+        activity: Activity,
+        energy: Energy,
+        audit: AuditTrail,
+        carbon: Carbon | None = None,
+    ):
+        pool_wh, share = audit.pool_wh, audit.entity_share
+        wh = pool_wh * share
+        if energy.wh != wh:
+            raise ArgumentMismatch(f"energy {energy.wh} Wh is not the audit's replay, {wh} Wh")
+        if carbon is not None and not wh and carbon.grams:
+            raise ArgumentMismatch(f"carbon {carbon.grams} g on zero energy")
+        factor = None if carbon is None else carbon.grams / wh if wh else Fraction(0)
+        self._entity_id, self._date, self._method, self._activity = entity_id, date, method, activity
+        provenance = (audit.scope, audit.base_wh, audit.pool_factors)
+        self._pool = Pool(*provenance, pool_wh, audit.weight_source, audit.filled_forward, factor)
+        self._quantity, self._total, self._basis = share.numerator, share.denominator, audit.entity_basis
+        self._values = (energy, audit, carbon)
+
+    @classmethod
+    def share_of(
+        cls,
+        entity_id: str,
+        date: _dt.date,
+        method: Method,
+        activity: Activity,
+        pool: Pool,
+        quantity: int,
+        total: int,
+        basis: str,
+    ) -> "AllocationResult":
+        """The entity's share ``quantity / total`` of ``pool`` (integers, 0 <= quantity <= total)."""
+        result = object.__new__(cls)
+        result._entity_id, result._date, result._method, result._activity = entity_id, date, method, activity
+        result._pool, result._quantity, result._total, result._basis = pool, quantity, total, basis
+        result._values = None
+        return result
+
+    entity_id = property(attrgetter("_entity_id"))
+    date = property(attrgetter("_date"))
+    method = property(attrgetter("_method"))
+    activity = property(attrgetter("_activity"))
+    pool = property(attrgetter("_pool"), doc="The pool the share is of, shared by its day's results.")
+    quantity = property(attrgetter("_quantity"), doc="The share's numerator, not reduced.")
+    total = property(attrgetter("_total"), doc="The share's denominator, not reduced.")
+    basis = property(attrgetter("_basis"), doc="The share's basis (the audit's ``entity_basis``).")
+
+    def _reduced(self) -> tuple[Energy, AuditTrail, Carbon | None]:
+        if self._values is None:
+            pool, share = self._pool, Fraction(self._quantity, self._total)
+            wh = pool.wh * share
+            provenance = (pool.scope, pool.base_wh, pool.factors)
+            audit = AuditTrail(*provenance, share, self._basis, pool.weight_source, pool.filled_forward)
+            carbon = Carbon(wh * pool.carbon_per_wh) if pool.carbon_per_wh is not None else None
+            self._values = (Energy(wh), audit, carbon)
+        return self._values
+
+    @property
+    def energy(self) -> Energy:
+        return self._reduced()[0]
+
+    @property
+    def audit(self) -> AuditTrail:
+        return self._reduced()[1]
+
+    @property
+    def carbon(self) -> Carbon | None:
+        return self._reduced()[2]
+
+    def _fields(self) -> tuple:
+        return (self._entity_id, self._date, self._method, self._activity, *self._reduced())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_RESULT_FIELDS, self._fields()))
+        return f"AllocationResult({fields})"
 
     def sort_key(self) -> tuple:
-        return (self.date, self.entity_id, self.activity.value)
+        return (self._date, self._entity_id, self._activity.value)

@@ -4,13 +4,17 @@ All quantities are carried as ``fractions.Fraction`` so that sums, products,
 and divisions stay exact and conservation identities close with zero residual.
 Binary floats never touch a value. Decimal strings appear only at the I/O
 boundary: input tokens are parsed exactly, and output is rounded half-even at
-a configurable number of significant digits as the final step.
+a configurable number of significant digits as the final step. The one
+rounding kernel reads a non-negative ratio of two integers, reduced or not,
+so a value carried as an unreduced ratio is rendered without a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+
+from .errors import ArgumentMismatch
 
 # Plain decimal tokens only: optional sign, ASCII digits, optional fractional
 # part. No exponents, no thousands separators, no other scripts' digits, no
@@ -58,25 +62,31 @@ def is_finite_decimal(value: Fraction) -> bool:
     return d == 1
 
 
-def _render(sign: str, q: int, k: int) -> str:
-    """Normalized decimal string of sign q * 10**k: no exponent, no trailing zeros."""
+def _render(q: int, k: int) -> str:
+    """Normalized decimal string of q * 10**k for q >= 0: no exponent, no trailing zeros."""
     if q == 0:
         return "0"
-    digits = str(q).rstrip("0")
-    k += len(str(q)) - len(digits)
+    text = str(q)
+    digits = text.rstrip("0")
+    k += len(text) - len(digits)
     if k >= 0:
-        return sign + digits + "0" * k
+        return digits + "0" * k
     point = len(digits) + k
     if point > 0:
-        return f"{sign}{digits[:point]}.{digits[point:]}"
-    return f"{sign}0.{'0' * -point}{digits}"
+        return f"{digits[:point]}.{digits[point:]}"
+    return f"0.{'0' * -point}{digits}"
+
+
+def _sign(value: Fraction) -> str:
+    return "-" if value.numerator < 0 else ""
 
 
 def decimal_str(value: Fraction) -> str:
     """Render an exact finite decimal, normalized (no trailing zeros).
 
-    Raises ValueError if the value has no finite decimal expansion; callers
-    that may hold arbitrary rationals must round first (``format_sig``).
+    Raises ArgumentMismatch (a ValueError) if the value has no finite decimal
+    expansion; callers that may hold arbitrary rationals must round first
+    (``format_sig``).
     """
     d, twos, fives = value.denominator, 0, 0
     while d % 2 == 0:
@@ -84,19 +94,20 @@ def decimal_str(value: Fraction) -> str:
     while d % 5 == 0:
         d, fives = d // 5, fives + 1
     if d != 1:
-        raise ValueError(f"{value!r} has no finite decimal expansion")
+        raise ArgumentMismatch(f"{value!r} has no finite decimal expansion")
     k = max(twos, fives)
-    return _render("-" if value.numerator < 0 else "", abs(value.numerator) * 10**k // value.denominator, -k)
+    return _sign(value) + _render(abs(value.numerator) * 10**k // value.denominator, -k)
 
 
-def _round_half_even(value: Fraction, sig_digits: int) -> tuple[int, int]:
-    """(q, k) with |value| rounded half-even to ``sig_digits`` equal to q * 10**k.
+def _round_half_even(n: int, d: int, sig_digits: int) -> tuple[int, int]:
+    """(q, k) with n/d rounded half-even to ``sig_digits`` equal to q * 10**k.
 
-    Integer-only: no big integer is turned into a string, and the tie is exact.
+    The ratio is non-negative (n >= 0, d > 0) and need not be reduced: the
+    quotient and the tie test read only n/d's value. Integer-only: no big
+    integer is turned into a string, and the tie is exact.
     """
     if sig_digits < 1:
-        raise ValueError("sig_digits must be >= 1")
-    n, d = abs(value.numerator), value.denominator
+        raise ArgumentMismatch("sig_digits must be >= 1")
     if n == 0:
         return 0, 0
     low, high = 10 ** (sig_digits - 1), 10**sig_digits
@@ -117,21 +128,32 @@ def _round_half_even(value: Fraction, sig_digits: int) -> tuple[int, int]:
 
 def round_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> Fraction:
     """Round half-even to ``sig_digits`` significant digits; shares ``format_sig``'s kernel."""
-    q, k = _round_half_even(value, sig_digits)
+    q, k = _round_half_even(abs(value.numerator), value.denominator, sig_digits)
     return (-q if value.numerator < 0 else q) * Fraction(10) ** k
 
 
-def format_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
-    """Round half-even to significant digits and render a normalized decimal."""
-    return _render("-" if value.numerator < 0 else "", *_round_half_even(value, sig_digits))
+def format_ratio(n: int, d: int, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
+    """``format_sig`` of n/d for integers n >= 0 and d > 0, without reducing the ratio."""
+    return _render(*_round_half_even(n, d, sig_digits))
 
 
-def format_sig_shifted(value: Fraction, sig_digits: int, shift: int) -> tuple[str, str]:
-    """``format_sig`` of value and of value / 10**shift, from one rounding.
+def format_ratio_shifted(n: int, d: int, sig_digits: int, shift: int) -> tuple[str, str]:
+    """``format_ratio`` of n/d and of n/d / 10**shift, from one rounding.
 
     Rounding to significant digits commutes with powers of ten, so the same
     (q, k) renders both; this is how Wh and kWh cells are made together.
     """
-    sign = "-" if value.numerator < 0 else ""
-    q, k = _round_half_even(value, sig_digits)
-    return _render(sign, q, k), _render(sign, q, k - shift)
+    q, k = _round_half_even(n, d, sig_digits)
+    return _render(q, k), _render(q, k - shift)
+
+
+def format_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
+    """Round half-even to significant digits and render a normalized decimal."""
+    return _sign(value) + format_ratio(abs(value.numerator), value.denominator, sig_digits)
+
+
+def format_sig_shifted(value: Fraction, sig_digits: int, shift: int) -> tuple[str, str]:
+    """``format_sig`` of value and of value / 10**shift, from one rounding (``format_ratio_shifted``)."""
+    sign = _sign(value)
+    unshifted, shifted = format_ratio_shifted(abs(value.numerator), value.denominator, sig_digits, shift)
+    return sign + unshifted, sign + shifted

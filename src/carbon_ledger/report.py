@@ -26,17 +26,17 @@ from .ingestion import Dataset
 from .model import (
     Activity,
     AllocationResult,
-    AuditTrail,
     Carbon,
     CoinAmount,
     Energy,
     HoldingRecord,
     Method,
     NetworkDay,
+    Pool,
     Portfolio,
     TransactionRecord,
 )
-from .numeric import DEFAULT_SIG_DIGITS, format_sig, format_sig_shifted
+from .numeric import DEFAULT_SIG_DIGITS, format_ratio, format_ratio_shifted, format_sig
 
 TEXT_TABLE_SIG_DIGITS = 4
 
@@ -113,7 +113,7 @@ def build_comparison_row(
         cells[name] = summary.daily_mean_energy if summary is not None else None
         # the summary's total leaves out days without a factor; such a day empties the cell
         if with_carbon and summary is not None and all(
-            r.carbon is not None for r in allocation.results if r.activity is activity
+            r.pool.carbon_per_wh is not None for r in allocation.results if r.activity is activity
         ):
             cells[f"{name}_carbon"] = Carbon(summary.total_carbon.grams / summary.days_covered)
     return ComparisonRow(network_id=dataset.network_id, days_covered=len(days), **cells)
@@ -262,38 +262,42 @@ def _result_rows(
 ) -> Iterator[list[str]]:
     """Each result's cells as text, in ``_RESULT_COLUMNS`` order: the one source of cell text.
 
-    The Wh and kWh cells come from one rounding. The three per-pool cells are
-    rendered once per pool: results of one pool share its base and factor
-    objects, so those cells are memoized by identity (a value key would cost a
-    Fraction hash per row); the memo keeps the audit it was built from, so the
-    ids stay valid. ``format_sig`` is looked up at call time, so a wrapper
-    installed on this module sees every call.
+    The numbers come from the result's integers, not reduced: energy is the
+    pool's watt-hours times ``quantity / total`` (the Wh and kWh cells from
+    one rounding), carbon that times the pool's carbon per Wh, and the share
+    ``quantity / total`` itself. The cells a pool decides (base, weight, pool
+    energy, weight source, scope, fill flag) are rendered once per pool,
+    memoized by the pool object that its results share. ``format_sig`` is
+    looked up at call time, so a wrapper installed on this module sees every
+    call.
     """
-    pool_cells: dict[tuple[int, int], tuple[AuditTrail, list[str]]] = {}
+    pool_cells: dict[Pool, tuple[list[str], list[str]]] = {}
     for result in results:
-        audit = result.audit
-        carbon = result.carbon if with_carbon else None
-        key = (id(audit.base_wh), id(audit.pool_factors))
-        if key not in pool_cells:
-            pool_weight = audit.pool_weight
-            pool_cells[key] = audit, [
-                format_sig(audit.base_wh, sig_digits),
-                format_sig(pool_weight, sig_digits),
-                format_sig(audit.base_wh * pool_weight, sig_digits),
-            ]
+        pool, quantity, total = result.pool, result.quantity, result.total
+        cells = pool_cells.get(pool)
+        if cells is None:
+            weight = Fraction(1)
+            for _, factor in pool.factors:
+                weight *= factor
+            cells = pool_cells[pool] = (
+                [format_sig(value, sig_digits) for value in (pool.base_wh, weight, pool.wh)],
+                [pool.weight_source or "", "/".join(pool.scope), "true" if pool.filled_forward else "false"],
+            )
+        wh, factor = pool.wh, pool.carbon_per_wh if with_carbon else None
+        energy_n, energy_d = wh.numerator * quantity, wh.denominator * total
         yield [
             result.date.isoformat(),
             result.entity_id,
             result.method.value,
             result.activity.value,
-            *format_sig_shifted(result.energy.wh, sig_digits, 3),
-            format_sig(carbon.grams, sig_digits) if carbon is not None else "",
-            *pool_cells[key][1],
-            format_sig(audit.entity_share, sig_digits),
-            audit.entity_basis,
-            audit.weight_source or "",
-            "/".join(audit.scope),
-            "true" if audit.filled_forward else "false",
+            *format_ratio_shifted(energy_n, energy_d, sig_digits, 3),
+            format_ratio(energy_n * factor.numerator, energy_d * factor.denominator, sig_digits)
+            if factor is not None
+            else "",
+            *cells[0],
+            format_ratio(quantity, total, sig_digits),
+            result.basis,
+            *cells[1],
         ]
 
 

@@ -7,8 +7,9 @@ Not collected by the default test run (the file name does not match
 
 Inputs come from the shared realistic-precision generators in ``conftest``:
 a 60-day x 60-entity PoS portfolio allocated under the hybrid method (7,200
-results), and a 365-day x 8-entity PoW year whose period summary is timed on
-its own, from the year's results and day plans.
+results), alone and together with rendering its JSON document, and a
+365-day x 8-entity PoW year whose period summary is timed on its own, from
+the year's results.
 """
 
 import datetime as dt
@@ -16,7 +17,7 @@ import random
 
 import pytest
 
-from carbon_ledger import Activity, Method, engine
+from carbon_ledger import Method, engine, report
 from carbon_ledger.ingestion import parse_network_csv, parse_portfolio_json
 from carbon_ledger.numeric import parse_decimal
 from conftest import POS, POW, decimal_token, realistic_days_csv, realistic_portfolio_json
@@ -46,16 +47,22 @@ def test_allocate_portfolio_wide_pos_hybrid(benchmark):
     assert len(allocation.results) == 7200
 
 
-@pytest.mark.parametrize("activity", list(Activity))
-def test_period_summary_pow_year(benchmark, activity):
+def test_allocate_and_render_json_wide_pos_hybrid(benchmark):
+    days, params, portfolio = WIDE
+
+    def allocate_and_render():
+        allocation = engine.allocate_portfolio(days, params, portfolio, Method.HYBRID)
+        return report.allocation_to_json("net", allocation)
+
+    document = benchmark(allocate_and_render)
+    assert document.count('"entity_id"') == 7200
+
+
+def test_period_summary_pow_year(benchmark):
     days, params, portfolio = YEAR
-    results = list(engine.allocate_portfolio(days, params, portfolio, Method.HYBRID).results)
-    plans = {
-        day.date: engine.plan_day(day, engine.method_weights(day, params), Method.HYBRID)
-        for day in days
-    }
-    summary = benchmark(engine._summarize, results, plans, activity)
-    assert summary.days_covered == 365
+    results = engine.allocate_portfolio(days, params, portfolio, Method.HYBRID).results
+    summary = benchmark(engine.summarize, Method.HYBRID, results)
+    assert summary.holding.days_covered == summary.transaction.days_covered == 365
 
 
 def test_parse_decimal(benchmark):

@@ -2,16 +2,20 @@
 
 It is both a ``CarbonLedgerError`` and a ``ValueError``, as ``RowProblem`` is,
 so a caller catching either sees it. Each case below is one raise site in the
-engine, the app allocator or the layer-2 allocator, with its message.
+engine, the app allocator, the layer-2 allocator, the result type or the
+numeric kernel, with its message.
 """
 
 import datetime as dt
+from fractions import Fraction
 
 import pytest
 
 import carbon_ledger
 from carbon_ledger import (
+    AllocationResult,
     ArgumentMismatch,
+    Carbon,
     CarbonLedgerError,
     CoinAmount,
     Energy,
@@ -32,6 +36,7 @@ from carbon_ledger import (
 )
 from carbon_ledger.apps import AppDay
 from carbon_ledger.engine import MethodWeights
+from carbon_ledger.numeric import decimal_str, format_sig
 from conftest import POW, frac, pow_day
 
 D1, D2 = dt.date(2021, 1, 1), dt.date(2021, 1, 2)
@@ -40,6 +45,8 @@ WEIGHTS = method_weights(DAY, POW)
 APP = AppDay("uniswap", D1, Share(frac("0.5")), 10, CoinAmount(frac("1000")))
 HOLDING, TX = HoldingRecord("alice", D1, CoinAmount(frac("1"))), TransactionRecord("bob", D1, tx_count=1)
 TOKENS = TokenHolding("alice", "uniswap", D1, CoinAmount(frac("1")))
+RESULT = allocate_holding(pow_day(date=D1, emission_factor="400"), None, HOLDING, Method.HOLDING_BASED)
+ZERO = allocate_holding(DAY, None, HoldingRecord("alice", D1, CoinAmount(0)), Method.HOLDING_BASED)
 
 CASES = {
     "weights_sum": (
@@ -89,6 +96,21 @@ CASES = {
     "token_holding_of_another_app": (
         lambda: allocate_token_holding(DAY, WEIGHTS, APP, TokenHolding("alice", "sushi", D1, TOKENS.amount)),
         "token holding is for app 'sushi', not 'uniswap'",
+    ),
+    "result_energy_not_replay": (
+        lambda: AllocationResult(
+            "alice", D1, RESULT.method, RESULT.activity, Energy(RESULT.energy.wh + 1), RESULT.audit
+        ),
+        f"energy {RESULT.energy.wh + 1} Wh is not the audit's replay, {RESULT.energy.wh} Wh",
+    ),
+    "result_carbon_on_zero_energy": (
+        lambda: AllocationResult("alice", D1, ZERO.method, ZERO.activity, ZERO.energy, ZERO.audit, Carbon(1)),
+        "carbon 1 g on zero energy",
+    ),
+    "sig_digits_below_one": (lambda: format_sig(Fraction(1), 0), "sig_digits must be >= 1"),
+    "no_finite_decimal": (
+        lambda: decimal_str(Fraction(1, 3)),
+        "Fraction(1, 3) has no finite decimal expansion",
     ),
     "layer2_of_another_day": (
         lambda: l2_inherited(DAY, WEIGHTS, Layer2Day("polygon", D2, Share(frac("0.2")), Energy.of("1"), DAY2)),

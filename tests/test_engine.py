@@ -1,12 +1,14 @@
 """Allocation engine: weights, pools, per-record and portfolio allocation."""
 
 import datetime as dt
+import math
 from fractions import Fraction
 
 import pytest
 
 from carbon_ledger import (
     Activity,
+    AllocationResult,
     ArgumentMismatch,
     BasisUnavailable,
     CoinAmount,
@@ -363,3 +365,84 @@ class TestAllocatePortfolio:
             (r for chunk in chunks for r in chunk), key=lambda r: r.sort_key()
         )
         assert tuple(merged) == sequential.results
+
+
+def _mixed_basis_allocation():
+    """Two PoS days with a carbon factor, holdings of several precisions, and
+    transactions on the gas, fee and count bases of one day."""
+    days = [
+        pos_day(date=dt.date(2022, 10, 1), gas="1000", fees="50", emission_factor="412.5"),
+        pos_day(date=dt.date(2022, 10, 2), gas="1200", fees="60.5", emission_factor="398.25"),
+    ]
+    holdings, transactions = [], []
+    for day in days:
+        for entity, amount in (("alice", "1.5"), ("bob", "0.25"), ("carol", "3")):
+            holdings.append(HoldingRecord(entity, day.date, CoinAmount(frac(amount))))
+        transactions += [
+            TransactionRecord("alice", day.date, gas_used=frac("10"), fee_paid=CoinAmount(frac("1"))),
+            TransactionRecord("bob", day.date, fee_paid=CoinAmount(frac("0.125"))),
+            TransactionRecord("carol", day.date, fee_paid=CoinAmount(frac("2.3"))),
+            TransactionRecord("dave", day.date, gas_used=frac("37"), tx_count=3),
+            TransactionRecord("erin", day.date, tx_count=2),
+        ]
+    portfolio = Portfolio("ethereum", tuple(holdings), tuple(transactions))
+    return allocate_portfolio(days, POS, portfolio, Method.HYBRID)
+
+
+class TestResultValues:
+    """A result is built from two integers; a library caller still reads reduced values."""
+
+    def test_values_are_reduced_fractions(self):
+        for result in _mixed_basis_allocation().results:
+            for value in (result.energy.wh, result.carbon.grams, result.audit.entity_share):
+                assert type(value) is Fraction
+                assert math.gcd(value.numerator, value.denominator) == 1
+            assert result.audit.entity_share == Fraction(result.quantity, result.total)
+
+    def test_audit_replays_the_energy(self):
+        for result in _mixed_basis_allocation().results:
+            assert result.audit.replay_wh() == result.energy.wh
+
+    def test_equals_and_hashes_as_the_result_built_from_its_values(self):
+        for result in _mixed_basis_allocation().results:
+            rebuilt = AllocationResult(
+                result.entity_id,
+                result.date,
+                result.method,
+                result.activity,
+                result.energy,
+                result.audit,
+                result.carbon,
+            )
+            assert result == rebuilt and rebuilt == result
+            assert hash(result) == hash(rebuilt)
+            assert repr(result) == repr(rebuilt)
+
+    def test_read_only(self):
+        result = _mixed_basis_allocation().results[0]
+        with pytest.raises(AttributeError):
+            result.entity_id = "mallory"
+
+    def test_mixed_basis_day_sums_as_its_shares_one_by_one(self):
+        allocation = _mixed_basis_allocation()
+        transactions = [r for r in allocation.results if r.activity is Activity.TRANSACTION]
+        first_day = [r for r in transactions if r.date == dt.date(2022, 10, 1)]
+        assert {r.audit.entity_basis for r in first_day} == {"gas", "fee", "count"}
+        assert len({r.total for r in first_day}) > 3  # fee shares of several precisions
+        for activity, summary in (
+            (Activity.HOLDING, allocation.summary.holding),
+            (Activity.TRANSACTION, allocation.summary.transaction),
+        ):
+            results = [r for r in allocation.results if r.activity is activity]
+            shares, pools = {}, {}
+            for r in results:
+                shares[r.date] = shares.get(r.date, Fraction(0)) + r.audit.entity_share
+                pools[r.date] = r.audit.pool_wh
+            total = sum((r.energy.wh for r in results), Fraction(0))
+            assert summary.result_count == len(results)
+            assert summary.days_covered == 2
+            assert summary.total_energy.wh == total
+            assert summary.daily_mean_energy.wh == total / 2
+            assert summary.mean_pool.wh == sum(pools.values()) / 2
+            assert summary.mean_daily_share == sum(shares.values()) / 2
+            assert summary.total_carbon.grams == sum(r.carbon.grams for r in results)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbon_ledger.numeric import (
+    _round_half_even,
     decimal_str,
+    format_ratio,
     format_sig,
     fraction_digits,
     is_finite_decimal,
@@ -168,6 +170,34 @@ def test_format_sig_matches_decimal_oracle(case):
     # Decimal(str) is exact, so this compares the two values exactly
     assert Decimal(rendered) == expected
     assert round_sig(value, sig) == Fraction(*expected.as_integer_ratio())
+
+
+@st.composite
+def _ratios(draw):
+    """(n, d, sig): an exact tie, a value that rounds up to the next power of ten, or any ratio, not reduced."""
+    sig = draw(st.integers(min_value=1, max_value=20))
+    scale = Fraction(10) ** draw(st.integers(min_value=-40, max_value=40))
+    kind = draw(st.sampled_from(("tie", "carry", "any")))
+    if kind == "tie":
+        head = draw(st.integers(min_value=10 ** (sig - 1), max_value=10**sig - 1))
+        value = (head * 10 + 5) * scale
+    elif kind == "carry":
+        # sig nines and then a digit of 5 or more round up to 10**sig
+        value = ((10**sig - 1) * 10 + draw(st.integers(min_value=5, max_value=9))) * scale
+    else:
+        n = draw(st.integers(min_value=0, max_value=10**40))
+        return n, draw(st.integers(min_value=1, max_value=10**40)), sig
+    return value.numerator, value.denominator, sig
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ratios(), st.integers(min_value=1, max_value=10**20))
+def test_an_unreduced_ratio_rounds_as_its_fraction(case, g):
+    n, d, sig = case
+    value = Fraction(n, d)
+    q, k = _round_half_even(n * g, d * g, sig)
+    assert (q, k) == _round_half_even(value.numerator, value.denominator, sig)
+    assert format_ratio(n * g, d * g, sig) == format_sig(value, sig)
 
 
 def test_format_sig_renders_values_beyond_the_digit_limit():
