@@ -49,7 +49,7 @@ class AppDay:
     def __post_init__(self):
         if self.app_tx_count < 0:
             raise RowProblem("app_tx_count", "must be >= 0")
-        if self.token_supply is not None and self.token_supply.value.numerator <= 0:
+        if self.token_supply is not None and not self.token_supply:
             raise RowProblem("token_supply", "must be > 0 when present")
 
 
@@ -139,10 +139,10 @@ def _token_result(plan: engine.DayPlan, app: AppDay, holding: TokenHolding) -> A
         raise ArgumentMismatch(f"token holding is for app {holding.app_id!r}, not {app.app_id!r}")
     if app.token_supply is None:
         raise NotAToken(f"{app.app_id} has no token supply; use transaction-based allocation")
-    amount, supply = holding.amount.value, app.token_supply.value
-    quantity, total = amount.numerator * supply.denominator, amount.denominator * supply.numerator
+    amount, supply = holding.amount, app.token_supply
+    quantity, total = amount.units * supply.scale, amount.scale * supply.units
     if quantity > total:
-        raise ShareOverflow(f"{holding.entity_id}: token amount {amount} exceeds supply {supply}")
+        raise ShareOverflow(f"{holding.entity_id}: token amount {amount.value} exceeds supply {supply.value}")
     return plan.result(Activity.HOLDING, holding.entity_id, quantity, total, "token")
 
 

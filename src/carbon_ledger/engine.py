@@ -183,23 +183,17 @@ def transaction_pool(day: NetworkDay, weights: MethodWeights) -> Energy:
 
 def _holding_result(plan: DayPlan, holding: HoldingRecord) -> AllocationResult:
     """Entity share of the (lost-coin-adjusted) circulating supply, as a result."""
-    amount, effective = holding.amount.value, plan.effective_supply
-    quantity, total = amount.numerator * effective.denominator, amount.denominator * effective.numerator
+    amount, effective = holding.amount, plan.effective_supply
+    quantity, total = amount.units * effective.denominator, amount.scale * effective.numerator
     if quantity > total:
-        raise ShareOverflow(f"{plan.day.date}: holding {amount} exceeds effective supply {effective}")
+        raise ShareOverflow(f"{plan.day.date}: holding {amount.value} exceeds effective supply {effective}")
     return plan.result(Activity.HOLDING, holding.entity_id, quantity, total, "holding")
 
 
 def transaction_result(plan: DayPlan, tx: TransactionRecord, kind: Consensus) -> AllocationResult:
     """The record's share of the transaction pool, on the basis ``transaction_quantities`` picks."""
     basis, quantity, total = transaction_quantities(tx, kind, plan.fee_total, plan.gas_total, plan.count_total)
-    return plan.result(
-        Activity.TRANSACTION,
-        tx.entity_id,
-        quantity.numerator * total.denominator,
-        quantity.denominator * total.numerator,
-        basis,
-    )
+    return plan.result(Activity.TRANSACTION, tx.entity_id, quantity, total, basis)
 
 
 def allocate_holding(
@@ -227,33 +221,36 @@ def transaction_quantities(
     fee_total: Fraction | None,
     gas_total: Fraction | None,
     count_total: int,
-) -> tuple[str, Fraction | int, Fraction | int]:
+) -> tuple[str, int, int]:
     """The first usable basis in the consensus-specific hierarchy: (basis name, quantity, total).
 
-    A basis is usable when the record carries the quantity and the day (or
-    app) carries a positive total. Raises NoTransactions on a day that
-    reports no transactions (an app checks its own count first),
-    ShareOverflow (with the quantity's ``column``) when the quantity exceeds
-    the total, and BasisUnavailable when no basis is usable. The bound
-    compares integers, so a check that divides nothing (the join) builds no
-    share.
+    ``quantity / total`` is the record's share of the basis total, as two
+    integers, not reduced. A basis is usable when the record carries the
+    quantity and the day (or app) carries a positive total. Raises
+    NoTransactions on a day that reports no transactions (an app checks its
+    own count first), ShareOverflow (with the quantity's ``column``) when the
+    quantity exceeds the total, and BasisUnavailable when no basis is usable.
+    The bound compares the integers, so a check that divides nothing (the
+    join) builds no ``Fraction``.
     """
     if count_total == 0:
         raise NoTransactions(f"{tx.date}: transaction record exists but the day reports none")
     for basis in _BASIS_ORDER[kind]:
         if basis == "fee" and tx.fee_paid is not None and fee_total:
-            quantity, total = tx.fee_paid.value, fee_total
+            units, scale, total = tx.fee_paid.units, tx.fee_paid.scale, fee_total
         elif basis == "gas" and tx.gas_used is not None and gas_total:
-            quantity, total = tx.gas_used, gas_total
+            units, scale, total = tx.gas_used.numerator, tx.gas_used.denominator, gas_total
         elif basis == "count" and tx.tx_count is not None:
-            quantity, total = tx.tx_count, count_total
+            units, scale, total = tx.tx_count, 1, count_total
         else:
             continue
-        if quantity.numerator * total.denominator > total.numerator * quantity.denominator:
+        quantity, share_total = units * total.denominator, scale * total.numerator
+        if quantity > share_total:
             raise ShareOverflow(
-                f"{tx.entity_id}: {basis} quantity {quantity} exceeds total {total}", _BASIS_COLUMNS[basis]
+                f"{tx.entity_id}: {basis} quantity {Fraction(units, scale)} exceeds total {total}",
+                _BASIS_COLUMNS[basis],
             )
-        return basis, quantity, total
+        return basis, quantity, share_total
     raise BasisUnavailable(
         f"{tx.entity_id} on {tx.date}: no fee, gas, or count basis can be formed"
     )

@@ -58,6 +58,11 @@ class ArgumentMismatch(CarbonLedgerError, ValueError):
     significant-digit count below 1, or a value with no finite decimal to render."""
 
 
+class InvalidValue(CarbonLedgerError, ValueError):
+    """A value outside its type's domain: a negative energy, carbon, coin amount or emission
+    factor, a share outside [0, 1], or an unknown energy unit."""
+
+
 class MissingDay(CarbonLedgerError):
     """Portfolio records reference dates with no matching network day."""
 

@@ -233,10 +233,12 @@ def _id(value: Any, column: str, coin_decimals: int) -> str:
 # decimal token the parsers take as it is (plain, not negative, and short
 # enough that int() of its digits never meets the interpreter's digit limit,
 # which cannot be set below 640); a coin token also within ``coin_decimals``
-# fractional digits; and the exact value of such a token.
+# fractional digits; such a token's digits and ``10**places``, the two
+# integers a coin amount holds unreduced; and its exact value.
 _CLEAN_DECIMAL = 'v.__class__ is str and len(v) <= 640 and (m := _match(v)) and m[1] != "-"'
 _CLEAN_COIN = _CLEAN_DECIMAL + ' and len(m[3] or "") <= coin_decimals'
-_QUOTIENT = 'Fraction(int(m[2] + (f := m[3] or "")), 10 ** len(f))'
+_UNITS = 'int(m[2] + (f := m[3] or "")), 10 ** len(f)'
+_QUOTIENT = f"Fraction({_UNITS})"
 
 
 def _inline(value: str, clean: str = _CLEAN_DECIMAL) -> str:
@@ -265,7 +267,7 @@ _DECIMAL = _Kind(
 )
 _ENERGY = _Kind(_energy, lambda energy: decimal_str(energy.wh), _inline(f"Energy({_QUOTIENT})"))
 _COIN = _Kind(
-    _coin, lambda amount: decimal_str(amount.value), _inline(f"CoinAmount({_QUOTIENT})", _CLEAN_COIN)
+    _coin, lambda amount: decimal_str(amount.value), _inline(f"_coin_units({_UNITS})", _CLEAN_COIN)
 )
 _SHARE = _Kind(
     _share,
@@ -337,7 +339,7 @@ def _reader(spec: _Spec) -> Callable:
     otherwise; then its absence (required or default) or its bound.
     """
     names = {
-        "RowProblem": RowProblem, "Fraction": Fraction, "Energy": Energy, "CoinAmount": CoinAmount,
+        "RowProblem": RowProblem, "Fraction": Fraction, "Energy": Energy, "_coin_units": CoinAmount.of_units,
         "Share": Share, "_match": _DECIMAL_TOKEN.fullmatch, "_iso_date": _iso_date, "_build": spec.build,
     }
     lines = [
@@ -378,10 +380,6 @@ def _reader(spec: _Spec) -> Callable:
     return names["read"]
 
 
-def _nonzero(coins: CoinAmount) -> bool:
-    return coins.value.numerator != 0
-
-
 def _transaction(fee_paid, gas_used, tx_count, entity_id, date) -> TransactionRecord:
     # a record with no basis at all stands for one transaction
     if fee_paid is None and gas_used is None and tx_count is None:
@@ -396,7 +394,7 @@ _DAY = _Spec(
         _column("energy_wh", _ENERGY, True, attr="energy"),
         _column("block_reward", _COIN),
         _column("tx_fees_total", _COIN),
-        _column("coin_supply", _COIN, True, bound=(_nonzero, "must be > 0")),
+        _column("coin_supply", _COIN, True, bound=(bool, "must be > 0")),
         _column(
             "lost_coin_fraction",
             _SHARE,
@@ -431,7 +429,7 @@ _APP = _Spec(
     (
         _column("app_id", _ID), _column("date", _DATE, True),
         _column("app_fee_share", _SHARE, True),
-        _column("token_supply", _COIN, bound=(_nonzero, "must be > 0 when present")),
+        _column("token_supply", _COIN, bound=(bool, "must be > 0 when present")),
         _column("app_tx_count", _COUNT, True),
     ),
     order=("date", "app_id"), build=AppDay, key=2, duplicate="app day",
@@ -760,9 +758,9 @@ def join_issues(
             no_day("l2s", l2.l2_id, l2.date)
 
     # Amount bounds compare a/b > c/d as a*d > c*b on the integers, not by a
-    # Fraction comparison per record.
+    # Fraction comparison per record; a reason prints the reduced values.
     for holding in token_holdings:
-        who, amount = holding.entity_id, holding.amount.value
+        who, amount = holding.entity_id, holding.amount
         app = app_map.get((holding.app_id, holding.date))
         if app is None:
             reason = f"{who}: no app day for {holding.app_id} on {holding.date}"
@@ -770,28 +768,28 @@ def join_issues(
         elif app.token_supply is None:
             reason = f"{holding.app_id} has no token supply on {holding.date}"
             join_issue("token_holdings", reason, "amount")
-        elif amount.numerator * (supply := app.token_supply.value).denominator > (
-            supply.numerator * amount.denominator
-        ):
-            reason = f"{who}: amount {amount} exceeds token supply {supply}"
+        elif amount.units * (supply := app.token_supply).scale > supply.units * amount.scale:
+            reason = f"{who}: amount {amount.value} exceeds token supply {supply.value}"
             join_issue("token_holdings", reason, "amount")
 
     if portfolio is not None:
         if portfolio.network_id != dataset.network_id:
             reason = f"portfolio is for {portfolio.network_id!r}, dataset is {dataset.network_id!r}"
             join_issue("portfolio", reason, "network_id")
-        # the bound the engine's holding share enforces, once per day: (numerator, denominator, value)
-        effective_supply = {}
+        # the engine's share denominators, once per day: the effective supply, as
+        # (numerator, denominator, value), bounds a holding; the fee total, a fee
+        effective_supply, fee_total = {}, {}
         for date, day in day_map.items():
             supply = day.effective_supply()
             effective_supply[date] = supply.numerator, supply.denominator, supply
+            fee_total[date] = day.tx_fees_total.value if day.tx_fees_total is not None else None
         for holding in portfolio.holdings:
             bound = effective_supply.get(holding.date)
             if bound is None:
                 no_day("portfolio.holdings", holding.entity_id, holding.date)
-            elif (amount := holding.amount.value).numerator * bound[1] > bound[0] * amount.denominator:
+            elif (amount := holding.amount).units * bound[1] > bound[0] * amount.scale:
                 net = f"coin supply net of lost coins {bound[2]} on {holding.date}"
-                reason = f"{holding.entity_id}: amount {amount} exceeds {net}"
+                reason = f"{holding.entity_id}: amount {amount.value} exceeds {net}"
                 join_issue("portfolio.holdings", reason, "amount")
         kind = dataset.consensus.kind
         for tx in portfolio.transactions:
@@ -799,10 +797,9 @@ def join_issues(
             if day is None:
                 no_day("portfolio.transactions", tx.entity_id, tx.date)
                 continue
-            # the engine's basis choice and bound, without the share
-            fees = day.tx_fees_total.value if day.tx_fees_total is not None else None
+            # the engine's basis choice and bound, without the result
             try:
-                engine.transaction_quantities(tx, kind, fees, day.gas_total, day.tx_count)
+                engine.transaction_quantities(tx, kind, fee_total[tx.date], day.gas_total, day.tx_count)
             except ShareOverflow as exc:
                 join_issue("portfolio.transactions", str(exc), exc.column)
             except (NoTransactions, BasisUnavailable) as exc:

@@ -13,18 +13,24 @@ Design rules that everything below follows:
 * All types are immutable values, safe to share across concurrent tasks,
   and slotted: no per-instance ``__dict__``. An ``AllocationResult`` keeps
   what it reduces on first read; that cache never changes a value.
+* Coin amounts are unreduced integer ratios, ``units / scale``, as results
+  are ``quantity / total``: a coin cell is read as its digits over
+  ``10**places``, the join and the allocators cross-multiply the integers,
+  and a ``Fraction`` is built only when a caller reads ``CoinAmount.value``
+  (or an error message prints one).
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Union
+from typing import Callable, Union
 
-from .errors import ArgumentMismatch, RowProblem
+from .errors import ArgumentMismatch, InvalidValue, RowProblem
 from .numeric import DEFAULT_SIG_DIGITS, format_sig, parse_decimal
 
 Numeric = Union[Fraction, int, str]
@@ -77,7 +83,7 @@ class Energy:
         if not isinstance(self.wh, Fraction):
             object.__setattr__(self, "wh", _as_fraction(self.wh))
         if self.wh.numerator < 0:
-            raise ValueError(f"energy must be >= 0, got {self.wh}")
+            raise InvalidValue(f"energy must be >= 0, got {self.wh}")
 
     @classmethod
     def of(cls, value: Numeric, unit: str = "Wh") -> "Energy":
@@ -91,7 +97,7 @@ def _unit_scale(unit: str) -> Fraction:
     try:
         return ENERGY_UNITS[unit]
     except KeyError:
-        raise ValueError(f"unknown energy unit {unit!r}; expected one of {sorted(ENERGY_UNITS)}") from None
+        raise InvalidValue(f"unknown energy unit {unit!r}; expected one of {sorted(ENERGY_UNITS)}") from None
 
 
 def convert_energy(energy: Energy, unit: str, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
@@ -112,14 +118,14 @@ class Carbon:
         if not isinstance(self.grams, Fraction):
             object.__setattr__(self, "grams", _as_fraction(self.grams))
         if self.grams.numerator < 0:
-            raise ValueError(f"carbon must be >= 0, got {self.grams}")
+            raise InvalidValue(f"carbon must be >= 0, got {self.grams}")
 
 
 def carbonize(energy: Energy, factor_g_per_kwh: Numeric) -> Carbon:
     """Convert allocated electricity to emissions with a gCO2e/kWh factor."""
     factor = _as_fraction(factor_g_per_kwh)
     if factor < 0:
-        raise ValueError(f"emission factor must be >= 0, got {factor}")
+        raise InvalidValue(f"emission factor must be >= 0, got {factor}")
     return Carbon(energy.wh / 1000 * factor)
 
 
@@ -133,20 +139,66 @@ class Share:
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", _as_fraction(self.value))
         if not 0 <= self.value.numerator <= self.value.denominator:
-            raise ValueError(f"share must be within [0, 1], got {self.value}")
+            raise InvalidValue(f"share must be within [0, 1], got {self.value}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
+def _cross_compared(compare: Callable[[int, int], bool]) -> Callable:
+    """A ``CoinAmount`` comparison: ``compare`` of the two amounts' units over one denominator."""
+
+    def method(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return compare(self._units * other._scale, other._units * self._scale)
+
+    return method
+
+
 class CoinAmount:
-    """Non-negative coin quantity in the network's native unit."""
+    """Non-negative coin quantity in the network's native unit.
 
-    value: Fraction
+    Held as two integers, ``units / scale``, not reduced (``of_units``): a
+    coin cell with ``p`` fractional digits is its digits over ``10**p``.
+    ``value`` is the reduced ``Fraction``, built when read. Equality,
+    ordering and hashing are by value; the attributes are read-only, and
+    only zero is falsy.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", _as_fraction(self.value))
-        if self.value.numerator < 0:
-            raise ValueError(f"coin amount must be >= 0, got {self.value}")
+    __slots__ = ("_units", "_scale")
+
+    def __init__(self, value: Numeric):
+        value = _as_fraction(value)
+        if value.numerator < 0:
+            raise InvalidValue(f"coin amount must be >= 0, got {value}")
+        self._units, self._scale = value.numerator, value.denominator
+
+    @classmethod
+    def of_units(cls, units: int, scale: int) -> "CoinAmount":
+        """``units / scale`` as given: integers with ``units >= 0`` and ``scale > 0``, not checked."""
+        amount = object.__new__(cls)
+        amount._units, amount._scale = units, scale
+        return amount
+
+    units = property(attrgetter("_units"), doc="The amount's numerator, not reduced.")
+    scale = property(attrgetter("_scale"), doc="The amount's denominator, not reduced.")
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self._units, self._scale)
+
+    __eq__ = _cross_compared(operator.eq)
+    __lt__ = _cross_compared(operator.lt)
+    __le__ = _cross_compared(operator.le)
+    __gt__ = _cross_compared(operator.gt)
+    __ge__ = _cross_compared(operator.ge)
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __bool__(self):
+        return self._units != 0
+
+    def __repr__(self):
+        return f"CoinAmount(value={self.value!r})"
 
 
 class Method(Enum):
@@ -188,7 +240,7 @@ class NetworkDay:
     filled_forward: bool = False
 
     def __post_init__(self):
-        if self.coin_supply.value.numerator <= 0:
+        if not self.coin_supply:
             raise RowProblem("coin_supply", "must be > 0")
         if self.tx_count < 0:
             raise RowProblem("tx_count", "must be >= 0")
@@ -200,7 +252,7 @@ class NetworkDay:
         if lost.numerator >= lost.denominator:
             raise RowProblem("lost_coin_fraction", "must be < 1")
         if self.tx_count == 0:
-            if self.tx_fees_total is not None and self.tx_fees_total.value.numerator != 0:
+            if self.tx_fees_total:
                 raise RowProblem("tx_fees_total", "must be 0 on a day with no transactions")
             if self.gas_total is not None and self.gas_total.numerator != 0:
                 raise RowProblem("gas_total", "must be 0 on a day with no transactions")
@@ -216,7 +268,8 @@ class NetworkDay:
             if (
                 self.block_reward is not None
                 and self.tx_fees_total is not None
-                and self.block_reward.value + self.tx_fees_total.value == 0
+                and not self.block_reward
+                and not self.tx_fees_total
             ):
                 problems.append(
                     ("block_reward", "zero total miner revenue; weighting undefined")
@@ -230,7 +283,9 @@ class NetworkDay:
 
     def effective_supply(self) -> Fraction:
         """Circulating supply net of the lost-coin adjustment."""
-        return self.coin_supply.value * (1 - self.lost_coin_fraction.value)
+        lost = self.lost_coin_fraction.value
+        units = self.coin_supply.units * (lost.denominator - lost.numerator)
+        return Fraction(units, self.coin_supply.scale * lost.denominator)
 
 
 @dataclass(frozen=True, slots=True)

@@ -393,3 +393,37 @@ class TestFillForward:
     def test_existing_dates_untouched(self):
         days = (pow_day(date=dt.date(2021, 1, 1)),)
         assert fill_forward(days, {dt.date(2021, 1, 1)}) == days
+
+
+def _clean_portfolio(entities: int) -> str:
+    """A portfolio of one fee-and-count transaction and one holding per entity on each of three days."""
+    holdings, transactions = [], []
+    for day in range(1, 4):
+        date = f"2021-01-0{day}"
+        for entity in range(entities):
+            holdings.append({"entity_id": f"e{entity}", "date": date, "amount": f"{entity}.{day:08d}"})
+            transactions.append(
+                {"entity_id": f"e{entity}", "date": date, "fee_paid": f"0.{entity:05d}", "tx_count": entity + 1}
+            )
+    document = {"schema_version": "1", "network_id": "net", "holdings": holdings, "transactions": transactions}
+    return json.dumps(document)
+
+
+def test_parsing_a_clean_portfolio_builds_no_fraction_per_record(monkeypatch):
+    """Coin cells are read as integer units: the Fraction count does not grow with the record count."""
+    build = Fraction.__new__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(cls)
+        return build(cls, *args, **kwargs)
+
+    texts = {entities: _clean_portfolio(entities) for entities in (50, 100)}
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    counts = []
+    for entities, text in texts.items():
+        calls.clear()
+        portfolio = parse_portfolio_json(text, "portfolio.json")
+        counts.append(len(calls))
+        assert len(portfolio.holdings) == len(portfolio.transactions) == 3 * entities
+    assert counts[1] == counts[0]

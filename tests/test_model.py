@@ -4,17 +4,25 @@ import datetime as dt
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbon_ledger import (
     Carbon,
+    CarbonLedgerError,
     CoinAmount,
     Consensus,
     Energy,
+    HoldingRecord,
+    InvalidValue,
+    Portfolio,
     Share,
     TransactionRecord,
     carbonize,
     convert_energy,
+    serialize_portfolio,
 )
+from carbon_ledger.ingestion import _HOLDING, _coin
 from conftest import pow_day, pos_day
 
 
@@ -140,3 +148,97 @@ class TestTransactionRecord:
     def test_fee_only_record_is_valid(self):
         record = TransactionRecord("e", dt.date(2021, 1, 1), fee_paid=CoinAmount(Fraction(1)))
         assert record.tx_count is None
+
+
+class TestDomainErrors:
+    """Each value-type check raises InvalidValue: a CarbonLedgerError that is also a ValueError."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Energy(Fraction(-1)),
+            lambda: Energy.of("1", "BTU"),
+            lambda: Carbon(Fraction(-1)),
+            lambda: carbonize(Energy.of("1"), -1),
+            lambda: Share(Fraction(2)),
+            lambda: CoinAmount(Fraction(-1, 2)),
+        ],
+        ids=["energy", "unit", "carbon", "carbonize", "share", "coin"],
+    )
+    def test_raises_a_domain_error(self, build):
+        with pytest.raises(InvalidValue) as excinfo:
+            build()
+        assert isinstance(excinfo.value, CarbonLedgerError)
+        assert isinstance(excinfo.value, ValueError)
+
+
+class TestCoinAmount:
+    """Held as unreduced integers ``units / scale``; read, compared and hashed by value."""
+
+    def test_equal_across_places(self):
+        assert CoinAmount("1.5") == CoinAmount("1.50") == CoinAmount.of_units(150, 100)
+        assert CoinAmount.of_units(0, 10) == CoinAmount(0)
+        assert CoinAmount("1.5") != CoinAmount("1.05")
+        assert hash(CoinAmount("1.5")) == hash(CoinAmount.of_units(1500, 1000))
+        assert len({CoinAmount("2"), CoinAmount.of_units(200, 100), CoinAmount("2.000")}) == 1
+
+    def test_orderings(self):
+        small, large = CoinAmount.of_units(149, 100), CoinAmount("1.5")
+        assert small < large and small <= large and large > small and large >= small
+        assert large <= CoinAmount.of_units(15, 10) and large >= CoinAmount.of_units(15, 10)
+        assert not large < small and not small > large
+        assert sorted([large, small, CoinAmount(0)]) == [CoinAmount(0), small, large]
+
+    def test_compares_only_with_coin_amounts(self):
+        assert CoinAmount(1) != Fraction(1)
+        with pytest.raises(TypeError):
+            CoinAmount(1) < 2
+
+    def test_value_is_the_reduced_fraction(self):
+        amount = CoinAmount.of_units(1500, 1000)
+        assert (amount.units, amount.scale) == (1500, 1000)
+        assert type(amount.value) is Fraction
+        assert (amount.value.numerator, amount.value.denominator) == (3, 2)
+
+    def test_repr(self):
+        assert repr(CoinAmount.of_units(1500, 1000)) == "CoinAmount(value=Fraction(3, 2))"
+        assert repr(CoinAmount("0")) == "CoinAmount(value=Fraction(0, 1))"
+
+    def test_read_only(self):
+        amount = CoinAmount("1.5")
+        for attr in ("value", "units", "scale", "other"):
+            with pytest.raises(AttributeError):
+                setattr(amount, attr, 2)
+
+    def test_negative_rejected_and_zero_falsy(self):
+        with pytest.raises(ValueError):
+            CoinAmount("-0.01")
+        assert not CoinAmount(0) and not CoinAmount.of_units(0, 10**8)
+        assert CoinAmount.of_units(1, 10**18)
+
+
+@st.composite
+def _coin_cells(draw):
+    """A non-negative decimal token with at most ``coin_decimals`` places, and ``coin_decimals``."""
+    coin_decimals = draw(st.integers(min_value=0, max_value=20))
+    places = draw(st.integers(min_value=0, max_value=coin_decimals))
+    whole = draw(st.from_regex(r"[0-9]{1,25}", fullmatch=True))
+    fraction = "." + draw(st.from_regex(rf"[0-9]{{{places}}}", fullmatch=True)) if places else ""
+    sign = draw(st.sampled_from(["", "+"]))
+    return sign + whole + fraction, places, coin_decimals
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coin_cells())
+def test_inline_coin_cell_is_the_parsers_amount(cell):
+    token, places, coin_decimals = cell
+    row = {"amount": token, "entity_id": "e", "date": "2021-01-01"}
+    inline = _HOLDING.reader(row, coin_decimals).amount
+    parsed = _coin(token, "amount", coin_decimals)
+    assert inline.scale == 10**places  # the reader built it from the digits, not through the parser
+    assert inline == parsed and hash(inline) == hash(parsed) and inline.value == parsed.value
+    inline_document, parsed_document = (
+        serialize_portfolio(Portfolio("net", (HoldingRecord("e", dt.date(2021, 1, 1), amount),)))
+        for amount in (inline, parsed)
+    )
+    assert inline_document == parsed_document
