@@ -20,7 +20,6 @@ from .model import (
     Activity,
     AllocationResult,
     CoinAmount,
-    Consensus,
     ConsensusParams,
     Energy,
     Method,
@@ -120,7 +119,7 @@ def _app_plan(
 
 
 def _app_transaction_result(
-    plan: engine.DayPlan, app: AppDay, tx: TransactionRecord, kind: Consensus
+    plan: engine.DayPlan, app: AppDay, tx: TransactionRecord, order: tuple[str, ...]
 ) -> AllocationResult:
     """Entity share of the app's own activity, on the app-scoped basis."""
     if tx.date != plan.day.date:
@@ -129,7 +128,7 @@ def _app_transaction_result(
         raise NoTransactions(
             f"{app.app_id} on {app.date}: transaction record exists but the app reports none"
         )
-    return engine.transaction_result(plan, tx, kind)
+    return engine.transaction_result(plan, tx, order)
 
 
 def _token_result(plan: engine.DayPlan, app: AppDay, holding: TokenHolding) -> AllocationResult:
@@ -156,7 +155,7 @@ def allocate_app_transaction(
 ) -> AllocationResult:
     """Pure transaction-based allocation of the app pool to one record."""
     plan = _app_plan(day, weights, app, Method.TRANSACTION_BASED, scope)
-    return _app_transaction_result(plan, app, tx, params.kind)
+    return _app_transaction_result(plan, app, tx, engine.BASIS_ORDER[params.kind])
 
 
 def allocate_token_holding(
@@ -190,15 +189,16 @@ def allocate_app_hybrid(
     app-scoped transaction basis. Apps without a token supply fall back to
     the purely transaction-based route over the full pool.
     """
+    order = engine.BASIS_ORDER[params.kind]
     if app.token_supply is None:
         if holding is not None:
             raise NotAToken(
                 f"{app.app_id} has no token supply; token holdings cannot be allocated"
             )
         plan = _app_plan(day, weights, app, Method.TRANSACTION_BASED, scope)
-        return tuple(_app_transaction_result(plan, app, tx, params.kind) for tx in txs)
+        return tuple(_app_transaction_result(plan, app, tx, order) for tx in txs)
     plan = _app_plan(day, weights, app, Method.HYBRID, scope)
     results = [_token_result(plan, app, holding)] if holding is not None else []
-    results += [_app_transaction_result(plan, app, tx, params.kind) for tx in txs]
+    results += [_app_transaction_result(plan, app, tx, order) for tx in txs]
     results.sort(key=AllocationResult.sort_key)
     return tuple(results)

@@ -55,7 +55,8 @@ NETWORK_SCOPE = ("network",)
 
 # Preferred basis per consensus: PoW follows the monetary incentive first,
 # PoS the computational complexity first; count is the second-best proxy.
-_BASIS_ORDER = {
+# Callers look an order up once, not per record: ``Enum.__hash__`` is a Python call.
+BASIS_ORDER = {
     Consensus.POW: ("fee", "gas", "count"),
     Consensus.POS: ("gas", "fee", "count"),
 }
@@ -190,9 +191,9 @@ def _holding_result(plan: DayPlan, holding: HoldingRecord) -> AllocationResult:
     return plan.result(Activity.HOLDING, holding.entity_id, quantity, total, "holding")
 
 
-def transaction_result(plan: DayPlan, tx: TransactionRecord, kind: Consensus) -> AllocationResult:
+def transaction_result(plan: DayPlan, tx: TransactionRecord, order: tuple[str, ...]) -> AllocationResult:
     """The record's share of the transaction pool, on the basis ``transaction_quantities`` picks."""
-    basis, quantity, total = transaction_quantities(tx, kind, plan.fee_total, plan.gas_total, plan.count_total)
+    basis, quantity, total = transaction_quantities(tx, order, plan.fee_total, plan.gas_total, plan.count_total)
     return plan.result(Activity.TRANSACTION, tx.entity_id, quantity, total, basis)
 
 
@@ -217,12 +218,12 @@ _BASIS_COLUMNS = {"fee": "fee_paid", "gas": "gas_used", "count": "tx_count"}
 
 def transaction_quantities(
     tx: TransactionRecord,
-    kind: Consensus,
+    order: tuple[str, ...],
     fee_total: Fraction | None,
     gas_total: Fraction | None,
     count_total: int,
 ) -> tuple[str, int, int]:
-    """The first usable basis in the consensus-specific hierarchy: (basis name, quantity, total).
+    """The first usable basis in the consensus's ``BASIS_ORDER``: (basis name, quantity, total).
 
     ``quantity / total`` is the record's share of the basis total, as two
     integers, not reduced. A basis is usable when the record carries the
@@ -235,7 +236,7 @@ def transaction_quantities(
     """
     if count_total == 0:
         raise NoTransactions(f"{tx.date}: transaction record exists but the day reports none")
-    for basis in _BASIS_ORDER[kind]:
+    for basis in order:
         if basis == "fee" and tx.fee_paid is not None and fee_total:
             units, scale, total = tx.fee_paid.units, tx.fee_paid.scale, fee_total
         elif basis == "gas" and tx.gas_used is not None and gas_total:
@@ -269,7 +270,7 @@ def allocate_transaction(
         raise ArgumentMismatch(f"transaction dated {tx.date} does not match day {day.date}")
     if method not in (Method.TRANSACTION_BASED, Method.HYBRID):
         raise ArgumentMismatch(f"transactions are not allocated under {method.value}-based accounting")
-    return transaction_result(plan_day(day, weights, method, scope), tx, params.kind)
+    return transaction_result(plan_day(day, weights, method, scope), tx, BASIS_ORDER[params.kind])
 
 
 @dataclass(frozen=True)
@@ -439,7 +440,8 @@ def allocate_portfolio(
     if method is not Method.TRANSACTION_BASED:
         results += [_holding_result(plan_for(h.date), h) for h in portfolio.holdings]
     if method is not Method.HOLDING_BASED:
-        results += [transaction_result(plan_for(t.date), t, params.kind) for t in portfolio.transactions]
+        order = BASIS_ORDER[params.kind]
+        results += [transaction_result(plan_for(t.date), t, order) for t in portfolio.transactions]
 
     ordered = tuple(sorted(results, key=AllocationResult.sort_key))
     return PortfolioAllocation(method=method, results=ordered, summary=summarize(method, ordered))

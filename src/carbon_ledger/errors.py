@@ -55,12 +55,14 @@ class ArgumentMismatch(CarbonLedgerError, ValueError):
     """Library arguments that do not fit together: another day's weights, records, apps or
     layer-2 days, a method that does not allocate the activity, unordered days, weights
     that do not sum to 1, a result whose energy or carbon is not its audit's replay, a
-    significant-digit count below 1, or a value with no finite decimal to render."""
+    significant-digit count below 1, a value with no finite decimal to render, or a
+    period with no days in the dataset."""
 
 
 class InvalidValue(CarbonLedgerError, ValueError):
     """A value outside its type's domain: a negative energy, carbon, coin amount or emission
-    factor, a share outside [0, 1], or an unknown energy unit."""
+    factor, a share outside [0, 1], an unknown energy unit, a token that is not a plain
+    decimal or a ``YYYY-MM-DD`` date, or a network id that is not one safe path segment."""
 
 
 class MissingDay(CarbonLedgerError):

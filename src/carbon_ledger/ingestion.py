@@ -9,11 +9,12 @@ round-trips are byte-identical by construction. Parsing is exact (no float
 round-trip anywhere) and validation reports every invalid row's first
 problem, rather than stopping at the first bad row.
 
-Each spec's row reader is generated at import as straight-line source, one
-local per column, the way ``dataclasses`` builds ``__init__``: a clean cell
-(a plain non-negative decimal, a ``YYYY-MM-DD`` date, a non-empty id, a
-non-negative int count) is built inline, and every other cell goes to its
-column's parser, so every row problem still comes from one place.
+Each spec's section loop is generated at import as straight-line source, one
+local per column, as ``dataclasses`` builds ``__init__``: it reads a JSON
+array with no call per row, builds a clean cell (a plain non-negative decimal,
+a ``YYYY-MM-DD`` date, a non-empty id, a non-negative int count) inline and
+hands every other cell to its column's parser, so every row problem still
+comes from one place; the spec's row reader is that loop run on one row.
 
 Documents are decoded and their records built inside ``bulk()``, with the
 cyclic garbage collector paused: those objects hold no cycles, and each
@@ -42,7 +43,8 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 from . import engine
 from .apps import AppDay, TokenHolding
 from .errors import (
-    BasisUnavailable, DatasetInvalid, NoTransactions, RowProblem, SchemaMismatch, ShareOverflow, ValidationIssue
+    BasisUnavailable, DatasetInvalid, InvalidValue, NoTransactions, RowProblem, SchemaMismatch, ShareOverflow,
+    ValidationIssue,
 )
 from .layer2 import Layer2Day
 from .model import (
@@ -132,10 +134,10 @@ def _iso_date(token: str) -> _dt.date | None:
 
 
 def parse_date(token: str) -> _dt.date:
-    """The calendar date of a ``YYYY-MM-DD`` token; ValueError for anything else."""
+    """The calendar date of a ``YYYY-MM-DD`` token; InvalidValue (a ValueError) for anything else."""
     date = _iso_date(token)
     if date is None:
-        raise ValueError(f"not an ISO-8601 date: {token!r}")
+        raise InvalidValue(f"not an ISO-8601 date: {token!r}")
     return date
 
 
@@ -305,16 +307,20 @@ class _Spec:
     ``noun`` names a row that is not an object. The first ``key`` columns
     identify a record and must be unique in a document (``duplicate`` names
     one in the problem); ``order`` lists the attributes that sort output.
-    ``build`` makes the record from its values by attribute; ``reader`` is
-    the row reader generated from the columns.
+    ``build`` makes the record from its values by attribute. A ``record``
+    class is made instead without its ``__init__``, its slots set directly,
+    after the source ``fill`` (on the column values ``x0``, ``x1``, ...):
+    the columns and ``fill`` hold every rule its ``__init__`` checks.
+    ``read_rows`` is the section loop generated from the columns, and
+    ``reader`` its one-row case.
     """
 
-    def __init__(self, noun, columns, order, build, key=None, duplicate=""):
+    def __init__(self, noun, columns, order, build=None, key=None, duplicate="", record=None, fill=""):
         self.noun, self.columns, self.key, self.duplicate = noun, columns, key, duplicate
-        self.build = build
+        self.build, self.record, self.fill = build or record, record, fill
         self.names = tuple(column.name for column in columns)
         self.sort_key = attrgetter(*order)
-        self.reader = _reader(self)
+        self.read_rows, self.reader = _reader(self)
 
     def fields(self, record: Any) -> dict[str, Any]:
         """The record as a canonical JSON object; absent columns are left out."""
@@ -329,59 +335,75 @@ class _Spec:
         return [self.fields(record) for record in sorted(records, key=self.sort_key)]
 
 
-def _reader(spec: _Spec) -> Callable:
-    """The spec's row reader: straight-line source, generated once as ``dataclasses`` builds ``__init__``.
+def _reader(spec: _Spec) -> tuple[Callable, Callable]:
+    """The spec's section loop and its row reader: one body, generated as ``dataclasses`` builds ``__init__``.
 
-    ``reader(row, coin_decimals, seen=None)`` returns ``spec.build`` of the
-    row's values by attribute, or raises RowProblem at the row's first
-    problem. Per column, in order: at the key index, the test of the key so
-    far against ``seen``; the cell, built inline when clean and by its parser
-    otherwise; then its absence (required or default) or its bound.
+    ``read_rows(rows, coin_decimals, source=None, issues=None, seen=None)``
+    returns the records of a JSON array, setting each slot to None as its row
+    is taken: a row's RowProblem becomes its ValidationIssue (1-based row) in
+    ``issues``, or is raised when ``issues`` is None. ``reader(row,
+    coin_decimals, seen=None)`` runs it on one row. Per column, in order: at
+    the key index, the test of the key so far against ``seen``; the cell,
+    built inline when clean and by its parser otherwise; then its absence
+    (required or default) or its bound.
     """
     names = {
-        "RowProblem": RowProblem, "Fraction": Fraction, "Energy": Energy, "_coin_units": CoinAmount.of_units,
-        "Share": Share, "_match": _DECIMAL_TOKEN.fullmatch, "_iso_date": _iso_date, "_build": spec.build,
+        "RowProblem": RowProblem, "ValidationIssue": ValidationIssue, "Fraction": Fraction, "Energy": Energy,
+        "_coin_units": CoinAmount.of_units, "Share": Share, "_match": _DECIMAL_TOKEN.fullmatch,
+        "_iso_date": _iso_date, "_build": spec.build, "_new": object.__new__, "_record": spec.record,
     }
-    lines = [
-        "def read(row, coin_decimals, seen=None):",
-        "    if not isinstance(row, dict):",
-        f"        raise RowProblem(None, {spec.noun + ' must be an object'!r})",
-        "    get = row.get",
-    ]
+    body = ["if not isinstance(row, dict):", f"    raise RowProblem(None, {spec.noun + ' must be an object'!r})"]
+    body.append("get = row.get")
     for index, (name, _, kind, required, default, bound) in enumerate(spec.columns):
         x, parse = f"x{index}", f"_parse{index}(v, {name!r}, coin_decimals)"
         if index == spec.key:
             key = "".join(f"x{i}, " for i in range(index))
             reason = f"{f'duplicate {spec.duplicate} '!r} + ' '.join(map(str, ({key})))"
-            lines += [
-                f"    if seen and ({key}) in seen:",
-                f"        raise RowProblem('date', {reason}, 'duplicate_date')",
-            ]
+            body += [f"if seen and ({key}) in seen:", f"    raise RowProblem('date', {reason}, 'duplicate_date')"]
         names[f"_parse{index}"] = kind.parse
-        lines += [
-            f"    v = get({name!r})",
-            f"    {x} = {kind.source.replace('{parse}', parse)}",
-        ]
+        body += [f"v = get({name!r})", f"{x} = {kind.source.replace('{parse}', parse)}"]
         if required:
-            lines += [f"    if {x} is None:", f"        raise RowProblem({name!r}, 'value required')"]
+            body += [f"if {x} is None:", f"    raise RowProblem({name!r}, 'value required')"]
         elif default is not None:
             names[f"_default{index}"] = default
-            lines += [f"    if {x} is None:", f"        {x} = _default{index}"]
+            body += [f"if {x} is None:", f"    {x} = _default{index}"]
         if bound is not None:
             names[f"_bound{index}"] = bound[0]
             test = "elif" if required or default is not None else f"if {x} is not None and"
-            lines += [
-                f"    {test} not _bound{index}({x}):",
-                f"        raise RowProblem({name!r}, {bound[1]!r})",
-            ]
-    values = ", ".join(f"{column.attr}=x{index}" for index, column in enumerate(spec.columns))
-    lines.append(f"    return _build({values})")
+            body += [f"{test} not _bound{index}({x}):", f"    raise RowProblem({name!r}, {bound[1]!r})"]
+    if spec.record is None:
+        body.append(f"append(_build({', '.join(f'{c.attr}=x{i}' for i, c in enumerate(spec.columns))}))")
+    else:
+        body += [spec.fill, "r = _new(_record)"] if spec.fill else ["r = _new(_record)"]
+        for index, column in enumerate(spec.columns):
+            names[f"_set{index}"] = getattr(spec.record, column.attr).__set__
+            body.append(f"_set{index}(r, x{index})")
+        body.append("append(r)")
+    lines = [
+        "def read_rows(rows, coin_decimals, source=None, issues=None, seen=None):",
+        "    records = []",
+        "    append = records.append",
+        "    for index in range(len(rows)):",
+        "        row, rows[index] = rows[index], None",
+        "        try:",
+        *("            " + line for line in body),
+        "        except RowProblem as problem:",
+        "            if issues is None:",
+        "                raise",
+        "            issues.append(ValidationIssue(source, problem.code, problem.reason, index + 1, problem.column))",
+        "    return records",
+    ]
     exec(compile("\n".join(lines), f"<{spec.noun} reader>", "exec"), names)
-    return names["read"]
+    read_rows = names["read_rows"]
+
+    def reader(row: Any, coin_decimals: int, seen: set | None = None) -> Any:
+        return read_rows([row], coin_decimals, None, None, seen)[0]
+
+    return read_rows, reader
 
 
 def _transaction(fee_paid, gas_used, tx_count, entity_id, date) -> TransactionRecord:
-    # a record with no basis at all stands for one transaction
+    # a record with no basis at all stands for one transaction (the spec's ``fill`` for its reader)
     if fee_paid is None and gas_used is None and tx_count is None:
         tx_count = 1
     return TransactionRecord(entity_id, date, fee_paid, gas_used, tx_count)
@@ -411,7 +433,7 @@ _DAY = _Spec(
 _HOLDING = _Spec(
     "holding",
     (_column("amount", _COIN, True), _column("entity_id", _ID), _column("date", _DATE, True)),
-    order=("date", "entity_id"), build=HoldingRecord,
+    order=("date", "entity_id"), record=HoldingRecord,
 )
 _TRANSACTION = _Spec(
     "transaction",
@@ -422,7 +444,8 @@ _TRANSACTION = _Spec(
         _column("entity_id", _ID),
         _column("date", _DATE, True),
     ),
-    order=("date", "entity_id"), build=_transaction,
+    order=("date", "entity_id"), build=_transaction, record=TransactionRecord,
+    fill="if x0 is None and x1 is None and x2 is None: x2 = 1",
 )
 _APP = _Spec(
     "app",
@@ -432,7 +455,7 @@ _APP = _Spec(
         _column("token_supply", _COIN, bound=(bool, "must be > 0 when present")),
         _column("app_tx_count", _COUNT, True),
     ),
-    order=("date", "app_id"), build=AppDay, key=2, duplicate="app day",
+    order=("date", "app_id"), record=AppDay, key=2, duplicate="app day",
 )
 _TOKEN_HOLDING = _Spec(
     "token holding",
@@ -442,7 +465,7 @@ _TOKEN_HOLDING = _Spec(
         _column("app_id", _ID),
         _column("date", _DATE, True),
     ),
-    order=("date", "app_id", "entity_id"), build=TokenHolding,
+    order=("date", "app_id", "entity_id"), record=TokenHolding,
 )
 _L2 = _Spec(
     "layer-2 entry",
@@ -497,19 +520,24 @@ def _released(rows: list) -> Iterator[tuple[int, Any]]:
         yield index + 1, row
 
 
-def _sections(document: dict[str, Any], source: str, **parsers: Callable) -> list[list]:
+def _sections(document: dict[str, Any], source: str, coin_decimals: int, **readers: Any) -> list[list]:
     """Records of each named array of a JSON document, or every row's issue raised at once.
 
-    Each row is dropped from the document once it is read.
+    A ``_Spec`` reads its array in its generated loop, and ``_collect`` calls
+    a keyed row parser (``_keyed``) on each row; each row is dropped once read.
     """
     issues: list[ValidationIssue] = []
     records = []
-    for key, parse in parsers.items():
-        rows = document.get(key, [])
-        if not isinstance(rows, list):
-            issues.append(ValidationIssue(f"{source}:{key}", "schema_mismatch", "must be an array"))
-            rows = []
-        records.append(_collect(f"{source}:{key}", _released(rows), parse, issues))
+    with bulk():
+        for key, read in readers.items():
+            rows, name = document.get(key, []), f"{source}:{key}"
+            if not isinstance(rows, list):
+                issues.append(ValidationIssue(name, "schema_mismatch", "must be an array"))
+                rows = []
+            if isinstance(read, _Spec):
+                records.append(read.read_rows(rows, coin_decimals, name, issues))
+            else:
+                records.append(_collect(name, _released(rows), read, issues))
     if issues:
         raise DatasetInvalid(issues)
     return records
@@ -643,10 +671,7 @@ def parse_portfolio_json(
     if not isinstance(network_id, str) or not network_id:
         raise SchemaMismatch(source, "missing network_id")
     holdings, transactions = _sections(
-        document,
-        source,
-        holdings=functools.partial(_HOLDING.reader, coin_decimals=coin_decimals),
-        transactions=functools.partial(_TRANSACTION.reader, coin_decimals=coin_decimals),
+        document, source, coin_decimals, holdings=_HOLDING, transactions=_TRANSACTION
     )
     return Portfolio(network_id, tuple(holdings), tuple(transactions))
 
@@ -662,8 +687,9 @@ def parse_apps_json(
     apps, token_holdings = _sections(
         _json_document(text, source),
         source,
+        coin_decimals,
         apps=_keyed(_APP, coin_decimals),
-        token_holdings=functools.partial(_TOKEN_HOLDING.reader, coin_decimals=coin_decimals),
+        token_holdings=_TOKEN_HOLDING,
     )
     return AppBundle(tuple(apps), tuple(token_holdings))
 
@@ -699,7 +725,8 @@ def parse_l2_json(
         params = ConsensusParams(consensus_map.get(l2_id, host_consensus.kind))
         return Layer2Day(internal_day=day_from_fields(internal, params, coin_decimals), **values)
 
-    (entries,) = _sections(_json_document(text, source), source, l2s=_keyed(_L2, coin_decimals, entry))
+    document = _json_document(text, source)
+    (entries,) = _sections(document, source, coin_decimals, l2s=_keyed(_L2, coin_decimals, entry))
     return L2Bundle(entries=tuple(entries), consensus=consensus_map)
 
 
@@ -791,7 +818,7 @@ def join_issues(
                 net = f"coin supply net of lost coins {bound[2]} on {holding.date}"
                 reason = f"{holding.entity_id}: amount {amount.value} exceeds {net}"
                 join_issue("portfolio.holdings", reason, "amount")
-        kind = dataset.consensus.kind
+        order = engine.BASIS_ORDER[dataset.consensus.kind]
         for tx in portfolio.transactions:
             day = day_map.get(tx.date)
             if day is None:
@@ -799,7 +826,7 @@ def join_issues(
                 continue
             # the engine's basis choice and bound, without the result
             try:
-                engine.transaction_quantities(tx, kind, fee_total[tx.date], day.gas_total, day.tx_count)
+                engine.transaction_quantities(tx, order, fee_total[tx.date], day.gas_total, day.tx_count)
             except ShareOverflow as exc:
                 join_issue("portfolio.transactions", str(exc), exc.column)
             except (NoTransactions, BasisUnavailable) as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ArgumentMismatch
+from .errors import ArgumentMismatch, InvalidValue
 
 # Plain decimal tokens only: optional sign, ASCII digits, optional fractional
 # part. No exponents, no thousands separators, no other scripts' digits, no
@@ -28,13 +28,13 @@ DEFAULT_SIG_DIGITS = 6
 def split_decimal(token: str) -> tuple[Fraction, int]:
     """Exact value and fractional digit count of a plain decimal token, from one match.
 
-    Raises ValueError for anything that is not a plain decimal literal
+    Raises InvalidValue (a ValueError) for anything that is not a plain decimal literal
     (exponents and thousands separators are rejected on purpose: they are
     the formats that silently lose precision elsewhere).
     """
     match = _DECIMAL_TOKEN.fullmatch(token)
     if match is None:
-        raise ValueError(f"not a plain decimal: {token!r}")
+        raise InvalidValue(f"not a plain decimal: {token!r}")
     sign, whole, fraction = match.groups()
     if fraction is None:
         return Fraction(int(sign + whole)), 0

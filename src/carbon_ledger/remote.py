@@ -22,7 +22,7 @@ import urllib.parse
 from pathlib import Path
 
 from . import ingestion
-from .errors import DatasetInvalid, MalformedResponse, RangeUnavailable, SchemaMismatch, Unreachable
+from .errors import DatasetInvalid, InvalidValue, MalformedResponse, RangeUnavailable, SchemaMismatch, Unreachable
 from .model import ConsensusParams, NetworkDay
 
 
@@ -32,9 +32,9 @@ _SAFE_NETWORK_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 
 
 def check_network_id(network_id: str) -> None:
-    """Raise ValueError unless the id is safe as a URL and file path segment."""
+    """Raise InvalidValue (a ValueError) unless the id is safe as a URL and file path segment."""
     if _SAFE_NETWORK_ID.fullmatch(network_id) is None:
-        raise ValueError(
+        raise InvalidValue(
             f"unsafe network id {network_id!r}: expected 1-64 characters from "
             "A-Z a-z 0-9 . _ -, starting with a letter or digit"
         )
@@ -148,7 +148,7 @@ class RemoteDayClient:
             document = self._http_get(network_id, start, end)
             read_day = ingestion._day_reader(self.consensus, self.coin_decimals)
             # a response must hold its days array, where a file may leave a section out
-            (days,) = ingestion._sections({"days": document.get("days")}, network_id, days=read_day)
+            (days,) = ingestion._sections({"days": document.get("days")}, network_id, self.coin_decimals, days=read_day)
         except (SchemaMismatch, DatasetInvalid) as exc:
             raise MalformedResponse(str(exc)) from None
         fetched = {day.date: day for day in days}

@@ -22,6 +22,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator
 
 from . import engine
+from .errors import ArgumentMismatch
 from .ingestion import Dataset
 from .model import (
     Activity,
@@ -73,7 +74,7 @@ def _select_days(
         if (start is None or d.date >= start) and (end is None or d.date <= end)
     ]
     if not days:
-        raise ValueError(f"{dataset.network_id}: no days in the requested range")
+        raise ArgumentMismatch(f"{dataset.network_id}: no days in the requested range")
     return days
 
 

@@ -2,8 +2,8 @@
 
 It is both a ``CarbonLedgerError`` and a ``ValueError``, as ``RowProblem`` is,
 so a caller catching either sees it. Each case below is one raise site in the
-engine, the app allocator, the layer-2 allocator, the result type or the
-numeric kernel, with its message.
+engine, the app allocator, the layer-2 allocator, the result type, the
+numeric kernel or the report's period selection, with its message.
 """
 
 import datetime as dt
@@ -36,7 +36,9 @@ from carbon_ledger import (
 )
 from carbon_ledger.apps import AppDay
 from carbon_ledger.engine import MethodWeights
+from carbon_ledger.ingestion import Dataset
 from carbon_ledger.numeric import decimal_str, format_sig
+from carbon_ledger.report import series_rows
 from conftest import POW, frac, pow_day
 
 D1, D2 = dt.date(2021, 1, 1), dt.date(2021, 1, 2)
@@ -111,6 +113,10 @@ CASES = {
     "no_finite_decimal": (
         lambda: decimal_str(Fraction(1, 3)),
         "Fraction(1, 3) has no finite decimal expansion",
+    ),
+    "period_without_days": (
+        lambda: series_rows(Dataset("btc", POW, (DAY,)), start=D2),
+        "btc: no days in the requested range",
     ),
     "layer2_of_another_day": (
         lambda: l2_inherited(DAY, WEIGHTS, Layer2Day("polygon", D2, Share(frac("0.2")), Energy.of("1"), DAY2)),

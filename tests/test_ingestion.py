@@ -11,6 +11,7 @@ from carbon_ledger import (
     DatasetInvalid,
     MissingDay,
     SchemaMismatch,
+    TransactionRecord,
     fill_forward,
     join_issues,
     load_apps_json,
@@ -30,6 +31,7 @@ from carbon_ledger.ingestion import (
     parse_network_csv,
     parse_portfolio_json,
 )
+from carbon_ledger.errors import RowProblem
 from conftest import POS, POW, bitcoin_2021_days, frac, pow_day
 
 HEADER = ",".join(NETWORK_CSV_COLUMNS)
@@ -427,3 +429,38 @@ def test_parsing_a_clean_portfolio_builds_no_fraction_per_record(monkeypatch):
         counts.append(len(calls))
         assert len(portfolio.holdings) == len(portfolio.transactions) == 3 * entities
     assert counts[1] == counts[0]
+
+
+def test_parsing_a_clean_portfolio_runs_no_transaction_check(monkeypatch):
+    """The reader builds transactions without ``__post_init__``: its columns already hold each rule.
+
+    The public constructor still runs it and raises each of its three problems.
+    """
+    check = TransactionRecord.__post_init__
+    calls = []
+
+    def counted(record):
+        calls.append(record)
+        return check(record)
+
+    texts = {entities: _clean_portfolio(entities) for entities in (50, 100)}
+    monkeypatch.setattr(TransactionRecord, "__post_init__", counted)
+    counts = []
+    for entities, text in texts.items():
+        calls.clear()
+        portfolio = parse_portfolio_json(text, "portfolio.json")
+        counts.append(len(calls))
+        assert len(portfolio.transactions) == 3 * entities
+    assert counts == [0, 0]
+
+    date = dt.date(2021, 1, 1)
+    problems = {
+        (None, "at least one of fee_paid, gas_used, tx_count required"): lambda: TransactionRecord("e", date),
+        ("gas_used", "must be >= 0"): lambda: TransactionRecord("e", date, gas_used=frac("-1")),
+        ("tx_count", "must be a positive count"): lambda: TransactionRecord("e", date, tx_count=0),
+    }
+    for (column, reason), build in problems.items():
+        with pytest.raises(RowProblem) as excinfo:
+            build()
+        assert (excinfo.value.column, excinfo.value.reason) == (column, reason)
+    assert len(calls) == len(problems)

@@ -22,7 +22,9 @@ from carbon_ledger import (
     convert_energy,
     serialize_portfolio,
 )
-from carbon_ledger.ingestion import _HOLDING, _coin
+from carbon_ledger.ingestion import _HOLDING, _coin, parse_date
+from carbon_ledger.numeric import split_decimal
+from carbon_ledger.remote import check_network_id
 from conftest import pow_day, pos_day
 
 
@@ -151,7 +153,7 @@ class TestTransactionRecord:
 
 
 class TestDomainErrors:
-    """Each value-type check raises InvalidValue: a CarbonLedgerError that is also a ValueError."""
+    """Each value-type and token check raises InvalidValue: a CarbonLedgerError that is also a ValueError."""
 
     @pytest.mark.parametrize(
         "build",
@@ -162,8 +164,11 @@ class TestDomainErrors:
             lambda: carbonize(Energy.of("1"), -1),
             lambda: Share(Fraction(2)),
             lambda: CoinAmount(Fraction(-1, 2)),
+            lambda: split_decimal("1e5"),
+            lambda: parse_date("2021-02-30"),
+            lambda: check_network_id("../bitcoin"),
         ],
-        ids=["energy", "unit", "carbon", "carbonize", "share", "coin"],
+        ids=["energy", "unit", "carbon", "carbonize", "share", "coin", "decimal_token", "date_token", "network_id"],
     )
     def test_raises_a_domain_error(self, build):
         with pytest.raises(InvalidValue) as excinfo:
