@@ -39,6 +39,16 @@ EXIT_IO = 2
 
 # rejected at the option, so a bad value exits 2 before any input is read
 _SIG_DIGITS = click.IntRange(min=1)
+
+
+def _renderable(ctx, param, sig_digits: int) -> int:
+    """No more significant digits than the interpreter turns an integer into text (a limit of 0 is none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and sig_digits > limit:
+        raise click.BadParameter(f"{sig_digits} is above {limit}, the interpreter's limit on the digits of an integer")
+    return sig_digits
+
+
 _COIN_DECIMALS = click.option(
     "--coin-decimals", type=click.IntRange(min=0), default=ingestion.DEFAULT_COIN_DECIMALS, show_default=True
 )
@@ -228,7 +238,9 @@ _DAY_SOURCE_OPTIONS = (
     click.option("--from", "from_", help="First day (ISO-8601), inclusive."),
     click.option("--to", "to_", help="Last day (ISO-8601), inclusive."),
     click.option("--out", type=click.Path(dir_okay=False)),
-    click.option("--sig-digits", type=_SIG_DIGITS, default=DEFAULT_SIG_DIGITS, show_default=True),
+    click.option(
+        "--sig-digits", type=_SIG_DIGITS, callback=_renderable, default=DEFAULT_SIG_DIGITS, show_default=True
+    ),
 )
 
 

@@ -308,6 +308,14 @@ class PortfolioAllocation:
     summary: PeriodSummary
 
 
+def _balanced_sum(terms: list[Fraction]) -> Fraction:
+    """The exact sum of ``terms``, added in pairs, then pairs of pairs, so no operand's denominator grows long."""
+    while len(terms) > 1:
+        paired = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        terms = paired + terms[2 * len(paired) :]
+    return terms[0] if terms else Fraction(0)
+
+
 def _summarize(results: Iterable[AllocationResult], activity: Activity) -> ActivitySummary | None:
     """Period aggregate from one share sum per day: a day's energy is its pool times that sum.
 
@@ -315,7 +323,8 @@ def _summarize(results: Iterable[AllocationResult], activity: Activity) -> Activ
     holdings of one precision) are added as integers; a day can mix
     denominators, for instance when a transaction falls back from gas to fee.
     The day's groups then meet over the least common multiple of their
-    denominators, so each day makes one ``Fraction``.
+    denominators, so each day makes one ``Fraction``. The period's four sums
+    (energy, pool, share, carbon) add their day terms pairwise.
     """
     quantities: dict[_dt.date, dict[int, int]] = {}
     pools: dict[_dt.date, Pool] = {}
@@ -331,20 +340,17 @@ def _summarize(results: Iterable[AllocationResult], activity: Activity) -> Activ
     if not count:
         return None
     days = len(quantities)
-    total_wh = pool_sum = share_sum = Fraction(0)
-    carbons = []
+    terms = []
     for date, groups in quantities.items():
         common = math.lcm(*groups)
-        shares = Fraction(sum(quantity * (common // total) for total, quantity in groups.items()), common)
+        share = Fraction(sum(quantity * (common // total) for total, quantity in groups.items()), common)
         pool = pools[date]
-        energy = pool.wh * shares
-        total_wh += energy
-        pool_sum += pool.wh
-        share_sum += shares
-        if pool.carbon_per_wh is not None:
-            carbons.append(energy * pool.carbon_per_wh)
-    mean_pool = pool_sum / days
-    mean_share = share_sum / days
+        terms.append((pool.wh * share, pool.wh, share, pool.carbon_per_wh))
+    energies, pool_whs, shares, factors = map(list, zip(*terms))
+    carbons = [energy * factor for energy, factor in zip(energies, factors) if factor is not None]
+    total_wh = _balanced_sum(energies)
+    mean_pool = _balanced_sum(pool_whs) / days
+    mean_share = _balanced_sum(shares) / days
     return ActivitySummary(
         activity=activity,
         result_count=count,
@@ -354,7 +360,7 @@ def _summarize(results: Iterable[AllocationResult], activity: Activity) -> Activ
         mean_pool=Energy(mean_pool),
         mean_daily_share=mean_share,
         ratio_of_averages_energy=Energy(mean_pool * mean_share),
-        total_carbon=Carbon(sum(carbons, Fraction(0))) if carbons else None,
+        total_carbon=Carbon(_balanced_sum(carbons)) if carbons else None,
     )
 
 

@@ -62,19 +62,23 @@ def is_finite_decimal(value: Fraction) -> bool:
     return d == 1
 
 
-def _render(q: int, k: int) -> str:
-    """Normalized decimal string of q * 10**k for q >= 0: no exponent, no trailing zeros."""
-    if q == 0:
-        return "0"
-    text = str(q)
-    digits = text.rstrip("0")
-    k += len(text) - len(digits)
+def _placed(digits: str, k: int) -> str:
+    """Normalized decimal string of int(digits) * 10**k, for digits with no trailing zero."""
     if k >= 0:
         return digits + "0" * k
     point = len(digits) + k
     if point > 0:
         return f"{digits[:point]}.{digits[point:]}"
     return f"0.{'0' * -point}{digits}"
+
+
+def _render(q: int, k: int) -> str:
+    """Normalized decimal string of q * 10**k for q >= 0: no exponent, no trailing zeros."""
+    if q == 0:
+        return "0"
+    text = str(q)
+    digits = text.rstrip("0")
+    return _placed(digits, k + len(text) - len(digits))
 
 
 def _sign(value: Fraction) -> str:
@@ -144,7 +148,13 @@ def format_ratio_shifted(n: int, d: int, sig_digits: int, shift: int) -> tuple[s
     (q, k) renders both; this is how Wh and kWh cells are made together.
     """
     q, k = _round_half_even(n, d, sig_digits)
-    return _render(q, k), _render(q, k - shift)
+    if q == 0:
+        return "0", "0"
+    # one digit strip for both cells
+    text = str(q)
+    digits = text.rstrip("0")
+    k += len(text) - len(digits)
+    return _placed(digits, k), _placed(digits, k - shift)
 
 
 def format_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:

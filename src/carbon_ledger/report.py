@@ -15,10 +15,12 @@ import dataclasses
 import datetime as _dt
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import engine
@@ -145,19 +147,14 @@ def _cells(row: ComparisonRow, suffix: str = "") -> list:
 _CSV_SPECIAL = re.compile(r'[",\r\n]')
 
 
-def _csv_line(cells: list[str]) -> str:
-    """One CSV record, quoted per RFC 4180 as ``csv.QUOTE_MINIMAL`` does.
+def _csv_cell(text: str) -> str:
+    """One CSV cell as ``csv.QUOTE_MINIMAL`` writes it: quoted only if it holds a comma, quote, CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
 
-    A cell is quoted only if it holds a comma, quote, CR or LF, with inner
-    quotes doubled; a line whose commas are all separators and that holds no
-    quote or line break needs none of it.
-    """
-    line = ",".join(cells)
-    if line.count(",") == len(cells) - 1 and _CSV_SPECIAL.search(line) is None:
-        return line
-    return ",".join(
-        '"' + cell.replace('"', '""') + '"' if _CSV_SPECIAL.search(cell) else cell for cell in cells
-    )
+
+def _csv_line(cells: list[str]) -> str:
+    """One CSV record, quoted per RFC 4180 as ``csv.QUOTE_MINIMAL`` does, inner quotes doubled."""
+    return ",".join(map(_csv_cell, cells))
 
 
 def comparison_to_csv(
@@ -256,50 +253,108 @@ _RESULT_COLUMNS = (
     "scope",
     "filled_forward",
 )
+# JSON form of a result cell: these columns are written as they come (a JSON
+# string, null or boolean), every other is quoted.
+_JSON_VERBATIM = {"entity_id", "carbon_g", "basis", "weight_source", "scope", "filled_forward"}
+# One result object of ``json.dumps(..., indent=2)`` at its depth in the document.
+_JSON_RESULT = (
+    "    {\n"
+    + ",\n".join(
+        f"      {_json_str(column)}: " + ("%s" if column in _JSON_VERBATIM else '"%s"')
+        for column in _RESULT_COLUMNS
+    )
+    + "\n    }"
+)
+
+
+def _json_cell(column: str, text: str) -> str:
+    """A cell's text as ``_JSON_RESULT`` takes it: the JSON value of a fixed verbatim cell, else as it is.
+
+    The fill flag is a boolean, an empty carbon or weight source null. The
+    entity and basis slots stay slots: those cells come escaped per result.
+    """
+    if column not in _JSON_VERBATIM or column in ("entity_id", "basis", "filled_forward"):
+        return text
+    return _json_str(text) if text or column == "scope" else "null"
+
+
+class _PoolText:
+    """What every result of one pool, date, method and activity renders alike.
+
+    ``cells`` are a result's cells with None in each per-result slot:
+    entity, Wh, kWh, carbon (unless fixed empty), share and basis. ``json``
+    and ``csv`` are the fixed cells written once into the result's JSON
+    object and CSV line, ``%`` escaped, with a ``%s`` for each slot. A
+    result's energy is ``wh_n·quantity / (wh_d·total)``, its carbon
+    ``carbon_n·quantity / (carbon_d·total)``.
+    """
+
+    __slots__ = ("key", "cells", "json", "csv", "wh_n", "wh_d", "carbon_n", "carbon_d")
+
+    def __init__(self, key: tuple, sig_digits: int, with_carbon: bool):
+        pool, date, method, activity = self.key = key
+        weight = math.prod((factor for _, factor in pool.factors), start=Fraction(1))
+        wh, factor = pool.wh, pool.carbon_per_wh if with_carbon else None
+        fixed = {
+            "date": date.isoformat(),
+            "method": method.value,
+            "activity": activity.value,
+            "base_wh": format_sig(pool.base_wh, sig_digits),
+            "method_weight": format_sig(weight, sig_digits),
+            "pool_wh": format_sig(wh, sig_digits),
+            "weight_source": pool.weight_source or "",
+            "scope": "/".join(pool.scope),
+            "filled_forward": "true" if pool.filled_forward else "false",
+        }
+        self.wh_n, self.wh_d = wh.numerator, wh.denominator
+        if factor is None:
+            fixed["carbon_g"] = ""
+            self.carbon_n = self.carbon_d = None
+        else:
+            self.carbon_n, self.carbon_d = wh.numerator * factor.numerator, wh.denominator * factor.denominator
+        self.cells = [fixed.get(column) for column in _RESULT_COLUMNS]
+        texts = [cell.replace("%", "%%") if cell is not None else "%s" for cell in self.cells]
+        self.csv = _csv_line(texts) + "\n"
+        self.json = _JSON_RESULT % tuple(map(_json_cell, _RESULT_COLUMNS, texts))
+
+
+_RESULT_KEY = attrgetter("pool", "date", "method", "activity")
+
+
+def _per_result(
+    results: Iterable[AllocationResult], sig_digits: int, with_carbon: bool, escape
+) -> Iterator[tuple[_PoolText, tuple[str, ...]]]:
+    """Each result's ``_PoolText`` and its per-result cells, the entity and basis passed through ``escape``.
+
+    The numbers are rounded from the result's integers, not reduced (Wh and
+    kWh from one rounding). A result's pool, date, method and activity are
+    compared, not hashed, with its pool's ``_PoolText``, made again if they differ.
+    """
+    pools: dict[Pool, _PoolText] = {}
+    bases: dict[str, str] = {}
+    for result in results:
+        key = _RESULT_KEY(result)
+        text = pools.get(key[0])
+        if text is None or text.key != key:
+            text = pools[key[0]] = _PoolText(key, sig_digits, with_carbon)
+        quantity, total, basis = result.quantity, result.total, result.basis
+        wh, kwh = format_ratio_shifted(text.wh_n * quantity, text.wh_d * total, sig_digits, 3)
+        share = format_ratio(quantity, total, sig_digits)
+        basis = bases.get(basis) or bases.setdefault(basis, escape(basis))
+        if text.carbon_n is None:
+            yield text, (escape(result.entity_id), wh, kwh, share, basis)
+        else:
+            carbon = format_ratio(text.carbon_n * quantity, text.carbon_d * total, sig_digits)
+            yield text, (escape(result.entity_id), wh, kwh, carbon, share, basis)
 
 
 def _result_rows(
     results: Iterable[AllocationResult], sig_digits: int, with_carbon: bool
 ) -> Iterator[list[str]]:
-    """Each result's cells as text, in ``_RESULT_COLUMNS`` order: the one source of cell text.
-
-    The numbers come from the result's integers, not reduced: energy is the
-    pool's watt-hours times ``quantity / total`` (the Wh and kWh cells from
-    one rounding), carbon that times the pool's carbon per Wh, and the share
-    ``quantity / total`` itself. The cells a pool decides (base, weight, pool
-    energy, weight source, scope, fill flag) are rendered once per pool,
-    memoized by the pool object that its results share. ``format_sig`` is
-    looked up at call time, so a wrapper installed on this module sees every
-    call.
-    """
-    pool_cells: dict[Pool, tuple[list[str], list[str]]] = {}
-    for result in results:
-        pool, quantity, total = result.pool, result.quantity, result.total
-        cells = pool_cells.get(pool)
-        if cells is None:
-            weight = Fraction(1)
-            for _, factor in pool.factors:
-                weight *= factor
-            cells = pool_cells[pool] = (
-                [format_sig(value, sig_digits) for value in (pool.base_wh, weight, pool.wh)],
-                [pool.weight_source or "", "/".join(pool.scope), "true" if pool.filled_forward else "false"],
-            )
-        wh, factor = pool.wh, pool.carbon_per_wh if with_carbon else None
-        energy_n, energy_d = wh.numerator * quantity, wh.denominator * total
-        yield [
-            result.date.isoformat(),
-            result.entity_id,
-            result.method.value,
-            result.activity.value,
-            *format_ratio_shifted(energy_n, energy_d, sig_digits, 3),
-            format_ratio(energy_n * factor.numerator, energy_d * factor.denominator, sig_digits)
-            if factor is not None
-            else "",
-            *cells[0],
-            format_ratio(quantity, total, sig_digits),
-            result.basis,
-            *cells[1],
-        ]
+    """Each result's cells as text, in ``_RESULT_COLUMNS`` order: the JSON and CSV templates filled cell by cell."""
+    for text, cells in _per_result(results, sig_digits, with_carbon, str):
+        cells = iter(cells)
+        yield [next(cells) if cell is None else cell for cell in text.cells]
 
 
 # Results per chunk of a streamed result document: a writer holds one chunk
@@ -320,8 +375,9 @@ def results_csv_chunks(
 ) -> Iterator[str]:
     """The result CSV as text chunks: the header, then ``CHUNK_ROWS`` lines at a time."""
     yield ",".join(_RESULT_COLUMNS) + "\n"
-    for batch in _batches(_result_rows(results, sig_digits, with_carbon)):
-        yield "".join(_csv_line(cells) + "\n" for cells in batch)
+    lines = (text.csv % cells for text, cells in _per_result(results, sig_digits, with_carbon, _csv_cell))
+    for batch in _batches(lines):
+        yield "".join(batch)
 
 
 def results_to_csv(
@@ -362,34 +418,6 @@ def summary_to_obj(
     }
 
 
-# JSON form of a result cell: these columns are written as they come (the
-# cell is already a JSON string, null or boolean), every other is quoted.
-_JSON_VERBATIM = {"entity_id", "carbon_g", "basis", "weight_source", "scope", "filled_forward"}
-_ENTITY, _CARBON, _BASIS, _SOURCE, _SCOPE = (
-    _RESULT_COLUMNS.index(column) for column in ("entity_id", "carbon_g", "basis", "weight_source", "scope")
-)
-# One result object of ``json.dumps(..., indent=2)`` at its depth in the document.
-_JSON_RESULT = (
-    "    {\n"
-    + ",\n".join(
-        f"      {_json_str(column)}: " + ("%s" if column in _JSON_VERBATIM else '"%s"')
-        for column in _RESULT_COLUMNS
-    )
-    + "\n    }"
-)
-
-
-def _json_results(results: Iterable[AllocationResult], sig_digits: int, with_carbon: bool) -> Iterator[str]:
-    """Each result as its object in the document."""
-    for cells in _result_rows(results, sig_digits, with_carbon):
-        cells[_ENTITY] = _json_str(cells[_ENTITY])
-        cells[_CARBON] = f'"{cells[_CARBON]}"' if cells[_CARBON] else "null"
-        cells[_BASIS] = _json_str(cells[_BASIS])
-        cells[_SOURCE] = _json_str(cells[_SOURCE]) if cells[_SOURCE] else "null"
-        cells[_SCOPE] = _json_str(cells[_SCOPE])
-        yield _JSON_RESULT % tuple(cells)
-
-
 def allocation_json_chunks(
     network_id: str,
     allocation: engine.PortfolioAllocation,
@@ -399,9 +427,9 @@ def allocation_json_chunks(
     """The result document as text chunks of ``CHUNK_ROWS`` results, joined as ``allocation_to_json``.
 
     The document is byte for byte what ``json.dumps(obj, indent=2) + "\\n"``
-    writes. Each result is written into one fixed-shape template instead of
-    building a dict per row for ``json`` (whose pure-Python encoder runs when
-    ``indent`` is set); the summary, a dozen cells, still goes through
+    writes. Each result fills its pool's copy of one fixed-shape template
+    instead of building a dict per row for ``json`` (whose pure-Python
+    encoder runs when ``indent`` is set); the summary, a dozen cells, still goes through
     ``json.dumps``. The head rides on the first chunk and the summary on the
     last.
     """
@@ -410,7 +438,9 @@ def allocation_json_chunks(
         f'  "method": "{allocation.method.value}",\n  "results": ['
     )
     written = False
-    for batch in _batches(_json_results(allocation.results, sig_digits, with_carbon)):
+    for batch in _batches(
+        text.json % cells for text, cells in _per_result(allocation.results, sig_digits, with_carbon, _json_str)
+    ):
         yield (",\n" if written else head + "\n") + ",\n".join(batch)
         written = True
     summary = json.dumps(summary_to_obj(allocation.summary, sig_digits, with_carbon), indent=2)

@@ -513,6 +513,12 @@ class TestSeries:
         assert all(0 <= w <= 1 for w in weights)
 
 
+# interpreters before 3.10.7, or run with the limit set to 0, turn integers of any length into text
+_NEEDS_INT_STR_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str limit to bound by"
+)
+
+
 class TestSigDigitsOption:
     """--sig-digits below 1 is a usage error (exit 2) on every command, before any input is read."""
 
@@ -536,6 +542,34 @@ class TestSigDigitsOption:
         assert result.exit_code == 2, result.output
         assert "--sig-digits" in result.output
         assert "x>=1" in result.output
+
+    @_NEEDS_INT_STR_LIMIT
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["allocate", "--method", "hybrid"],
+            ["allocate", "--method", "hybrid", "--format", "csv"],
+            ["compare", "--format", "csv"],
+            ["series"],
+        ],
+    )
+    def test_above_the_int_to_str_limit_is_rejected_at_the_option(self, runner, btc_csv, portfolio_json, command):
+        # such a run used to allocate everything and then fail rendering, reported as a validation failure
+        limit = sys.get_int_max_str_digits()
+        args = [*command, *network_args(btc_csv), "--sig-digits", str(limit + 1)]
+        if command[0] == "allocate":
+            args += ["--portfolio", str(portfolio_json)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "--sig-digits" in result.output
+        assert f"{limit + 1} is above {limit}" in result.output
+
+    @_NEEDS_INT_STR_LIMIT
+    def test_the_int_to_str_limit_itself_renders(self, runner, btc_csv):
+        limit = sys.get_int_max_str_digits()
+        result = runner.invoke(main, ["series", *network_args(btc_csv), "--sig-digits", str(limit)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1] == "2021-01-01,0.0601"
 
     def test_one_digit_is_accepted(self, runner, btc_csv):
         result = runner.invoke(main, ["series", *network_args(btc_csv), "--sig-digits", "1"])

@@ -25,17 +25,20 @@ from test_validate_allocate import bundles, write_portfolio
 
 START = dt.date(2021, 1, 1)
 CHUNK = report.CHUNK_ROWS
+_ENTITY, _CARBON, _BASIS, _SOURCE, _SCOPE = (
+    report._RESULT_COLUMNS.index(column) for column in ("entity_id", "carbon_g", "basis", "weight_source", "scope")
+)
 
 
 def whole_json(network_id, allocation, sig_digits, with_carbon) -> str:
     """``report.allocation_to_json`` as it was when it built the whole document: the oracle."""
     rows = []
     for cells in report._result_rows(allocation.results, sig_digits, with_carbon):
-        cells[report._ENTITY] = report._json_str(cells[report._ENTITY])
-        cells[report._CARBON] = f'"{cells[report._CARBON]}"' if cells[report._CARBON] else "null"
-        cells[report._BASIS] = report._json_str(cells[report._BASIS])
-        cells[report._SOURCE] = report._json_str(cells[report._SOURCE]) if cells[report._SOURCE] else "null"
-        cells[report._SCOPE] = report._json_str(cells[report._SCOPE])
+        cells[_ENTITY] = report._json_str(cells[_ENTITY])
+        cells[_CARBON] = f'"{cells[_CARBON]}"' if cells[_CARBON] else "null"
+        cells[_BASIS] = report._json_str(cells[_BASIS])
+        cells[_SOURCE] = report._json_str(cells[_SOURCE]) if cells[_SOURCE] else "null"
+        cells[_SCOPE] = report._json_str(cells[_SCOPE])
         rows.append(report._JSON_RESULT % tuple(cells))
     results = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     summary = json.dumps(report.summary_to_obj(allocation.summary, sig_digits, with_carbon), indent=2)
