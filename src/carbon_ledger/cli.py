@@ -174,14 +174,8 @@ def validate(paths, network, consensus, coin_decimals, json_report):
             else:
                 loaded[kind].append((path.name, document))
 
-        # the days, app days and L2 days of all files each form one set; see _merged
-        day_files = [(name, csv_file.days) for name, csv_file in loaded["days"]]
-        days = _merged(day_files, "", "date", lambda day: (day.date,), issues)
-        bundles = loaded["apps"]
-        app_files = [(name, bundle.apps) for name, bundle in bundles]
-        apps = _merged(app_files, ":apps", "app day", attrgetter("app_id", "date"), issues)
-        l2_files = [(name, l2_file.entries) for name, l2_file in loaded["l2s"]]
-        l2s = _merged(l2_files, ":l2s", "layer-2 day", attrgetter("l2_id", "date"), issues)
+        # the days, app days and L2 days of all files each form one set; see ingestion.merge
+        days, apps, l2s = (ingestion.merge(kind, loaded[kind], issues) for kind in ("days", "apps", "l2s"))
         declared = {}  # L2 id → (the consensus the first file to declare one gives it, that file)
         for name, l2_file in loaded["l2s"]:
             for l2_id, l2_kind in l2_file.consensus.items():
@@ -192,7 +186,7 @@ def validate(paths, network, consensus, coin_decimals, json_report):
         if loaded["days"]:
             dataset = Dataset(network, params, tuple(sorted(days, key=attrgetter("date"))))
             # every app and L2 file joins as one registry, then each portfolio on its own
-            token_holdings = tuple(holding for _, bundle in bundles for holding in bundle.token_holdings)
+            token_holdings = tuple(holding for _, bundle in loaded["apps"] for holding in bundle.token_holdings)
             joined = dataclasses.replace(dataset, apps=apps, l2s=l2s)
             issues.extend(ingestion.join_issues(joined, token_holdings=token_holdings))
             for _, portfolio in loaded["portfolio"]:
@@ -210,24 +204,6 @@ def validate(paths, network, consensus, coin_decimals, json_report):
             sys.exit(EXIT_VALIDATION)
 
     _run(body)
-
-
-def _merged(files, section: str, noun: str, key, issues: list[ValidationIssue]) -> tuple:
-    """The records of several files as one, each file given as ``(name, records)``.
-
-    A record whose ``key`` an earlier file already gave is a ``duplicate_date``
-    issue of the later file's section (``name + section``) and is dropped:
-    ``duplicate <noun> <key>, also in <first file>``.
-    """
-    merged, first_file = {}, {}
-    for name, records in files:
-        for record in records:
-            if (record_key := key(record)) in merged:
-                reason = f"duplicate {noun} {' '.join(map(str, record_key))}, also in {first_file[record_key]}"
-                issues.append(ValidationIssue(name + section, "duplicate_date", reason, column="date"))
-            else:
-                merged[record_key], first_file[record_key] = record, name
-    return tuple(merged.values())
 
 
 # Declared alike by every command that reads days.

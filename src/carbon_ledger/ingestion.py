@@ -14,7 +14,11 @@ local per column, as ``dataclasses`` builds ``__init__``: it reads a JSON
 array with no call per row, builds a clean cell (a plain non-negative decimal,
 a ``YYYY-MM-DD`` date, a non-empty id, a non-negative int count) inline and
 hands every other cell to its column's parser, so every row problem still
-comes from one place; the spec's row reader is that loop run on one row.
+comes from one place; the spec's row reader is that loop run on one row. It
+is the only row loop: a days CSV's lines are read by it as dicts, and a record
+that needs more than its columns (a network day's consensus rule, a layer-2
+entry's internal day) is made by the ``finish`` hook the loop calls on each
+row; a keyed record's key counts as seen only once that record is built.
 
 Documents are decoded and their records built inside ``bulk()``, with the
 cyclic garbage collector paused: those objects hold no cycles, and each
@@ -34,7 +38,7 @@ import gc
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
@@ -305,14 +309,17 @@ class _Spec:
     """A record type's columns, in the order a row's cells are checked.
 
     ``noun`` names a row that is not an object. The first ``key`` columns
-    identify a record and must be unique in a document (``duplicate`` names
-    one in the problem); ``order`` lists the attributes that sort output.
+    identify a record and must be unique in a document and across the files
+    ``merge`` joins (``duplicate`` names one in the problem); ``order`` lists
+    the attributes that sort output.
     ``build`` makes the record from its values by attribute. A ``record``
     class is made instead without its ``__init__``, its slots set directly,
     after the source ``fill`` (on the column values ``x0``, ``x1``, ...):
     the columns and ``fill`` hold every rule its ``__init__`` checks.
     ``read_rows`` is the section loop generated from the columns, and
-    ``reader`` its one-row case.
+    ``reader`` its one-row case; both take a ``finish(record, row)`` that
+    makes the final record (days and layer-2 entries build a dict of their
+    values for it), after which the row's key counts as seen.
     """
 
     def __init__(self, noun, columns, order, build=None, key=None, duplicate="", record=None, fill=""):
@@ -338,14 +345,17 @@ class _Spec:
 def _reader(spec: _Spec) -> tuple[Callable, Callable]:
     """The spec's section loop and its row reader: one body, generated as ``dataclasses`` builds ``__init__``.
 
-    ``read_rows(rows, coin_decimals, source=None, issues=None, seen=None)``
-    returns the records of a JSON array, setting each slot to None as its row
-    is taken: a row's RowProblem becomes its ValidationIssue (1-based row) in
-    ``issues``, or is raised when ``issues`` is None. ``reader(row,
-    coin_decimals, seen=None)`` runs it on one row. Per column, in order: at
-    the key index, the test of the key so far against ``seen``; the cell,
-    built inline when clean and by its parser otherwise; then its absence
-    (required or default) or its bound.
+    ``read_rows(rows, coin_decimals, source=None, issues=None, finish=None,
+    seen=None)`` returns the records of a JSON array, setting each slot to
+    None as its row is taken: a row's RowProblem becomes its ValidationIssue
+    (1-based row) in ``issues``, or is raised when ``issues`` is None.
+    ``reader(row, coin_decimals, seen=None, finish=None)`` runs it on one row.
+    Per column, in order: at the key index, the test of the key so far
+    against the keys seen; the cell, built inline when clean and by its
+    parser otherwise; then its absence (required or default) or its bound.
+    The record is then ``finish(record, row)`` when a ``finish`` is given,
+    and only once that is built does a keyed spec's key count as seen. The
+    loop adds keys to its own copy of ``seen``, never to the caller's set.
     """
     names = {
         "RowProblem": RowProblem, "ValidationIssue": ValidationIssue, "Fraction": Fraction, "Energy": Energy,
@@ -354,10 +364,10 @@ def _reader(spec: _Spec) -> tuple[Callable, Callable]:
     }
     body = ["if not isinstance(row, dict):", f"    raise RowProblem(None, {spec.noun + ' must be an object'!r})"]
     body.append("get = row.get")
+    key = "".join(f"x{i}, " for i in range(spec.key or 0))
     for index, (name, _, kind, required, default, bound) in enumerate(spec.columns):
         x, parse = f"x{index}", f"_parse{index}(v, {name!r}, coin_decimals)"
         if index == spec.key:
-            key = "".join(f"x{i}, " for i in range(index))
             reason = f"{f'duplicate {spec.duplicate} '!r} + ' '.join(map(str, ({key})))"
             body += [f"if seen and ({key}) in seen:", f"    raise RowProblem('date', {reason}, 'duplicate_date')"]
         names[f"_parse{index}"] = kind.parse
@@ -372,17 +382,21 @@ def _reader(spec: _Spec) -> tuple[Callable, Callable]:
             test = "elif" if required or default is not None else f"if {x} is not None and"
             body += [f"{test} not _bound{index}({x}):", f"    raise RowProblem({name!r}, {bound[1]!r})"]
     if spec.record is None:
-        body.append(f"append(_build({', '.join(f'{c.attr}=x{i}' for i, c in enumerate(spec.columns))}))")
+        body.append(f"r = _build({', '.join(f'{c.attr}=x{i}' for i, c in enumerate(spec.columns))})")
     else:
         body += [spec.fill, "r = _new(_record)"] if spec.fill else ["r = _new(_record)"]
         for index, column in enumerate(spec.columns):
             names[f"_set{index}"] = getattr(spec.record, column.attr).__set__
             body.append(f"_set{index}(r, x{index})")
-        body.append("append(r)")
+    body += ["if finish is not None:", "    r = finish(r, row)"]
+    if key:
+        body.append(f"seen.add(({key}))")
+    body.append("append(r)")
     lines = [
-        "def read_rows(rows, coin_decimals, source=None, issues=None, seen=None):",
+        "def read_rows(rows, coin_decimals, source=None, issues=None, finish=None, seen=None):",
         "    records = []",
         "    append = records.append",
+        *(["    seen = set() if seen is None else set(seen)"] if key else []),
         "    for index in range(len(rows)):",
         "        row, rows[index] = rows[index], None",
         "        try:",
@@ -396,8 +410,8 @@ def _reader(spec: _Spec) -> tuple[Callable, Callable]:
     exec(compile("\n".join(lines), f"<{spec.noun} reader>", "exec"), names)
     read_rows = names["read_rows"]
 
-    def reader(row: Any, coin_decimals: int, seen: set | None = None) -> Any:
-        return read_rows([row], coin_decimals, None, None, seen)[0]
+    def reader(row: Any, coin_decimals: int, seen: set | None = None, finish: Callable | None = None) -> Any:
+        return read_rows([row], coin_decimals, None, None, finish, seen)[0]
 
     return read_rows, reader
 
@@ -480,51 +494,12 @@ _L2 = _Spec(
 NETWORK_CSV_COLUMNS = _DAY.names
 
 
-def _collect(source: str, rows: Iterable[tuple[int, Any]], parse: Callable, issues: list) -> list:
-    """The one row loop: parse each numbered row; a problem becomes that row's issue."""
-    records = []
-    with bulk():
-        for row_no, row in rows:
-            try:
-                records.append(parse(row))
-            except RowProblem as problem:
-                issue = ValidationIssue(source, problem.code, problem.reason, row_no, problem.column)
-                issues.append(issue)
-    return records
-
-
-def _keyed(spec: _Spec, coin_decimals: int, finish: Callable = lambda values, row: values) -> Callable:
-    """A keyed spec's row parser: its reader, then ``finish(values, row)`` builds the record.
-
-    A row's key counts as seen only once its record is fully built.
-    """
-    seen: set[tuple] = set()
-    attrs = [column.attr for column in spec.columns[: spec.key]]
-
-    def parse(row: Any) -> Any:
-        record = finish(spec.reader(row, coin_decimals, seen), row)
-        seen.add(tuple(getattr(record, attr) for attr in attrs))
-        return record
-
-    return parse
-
-
-def _released(rows: list) -> Iterator[tuple[int, Any]]:
-    """Each row of a JSON array with its 1-based number, dropped from the array as it is handed out.
-
-    Once its record is built nothing holds the row, so a load peaks at the
-    decoded tree, not at the tree plus every record.
-    """
-    for index in range(len(rows)):
-        row, rows[index] = rows[index], None
-        yield index + 1, row
-
-
-def _sections(document: dict[str, Any], source: str, coin_decimals: int, **readers: Any) -> list[list]:
+def _sections(document: dict[str, Any], source: str, coin_decimals: int, **readers: Callable) -> list[list]:
     """Records of each named array of a JSON document, or every row's issue raised at once.
 
-    A ``_Spec`` reads its array in its generated loop, and ``_collect`` calls
-    a keyed row parser (``_keyed``) on each row; each row is dropped once read.
+    Each array is read by its section loop, ``read(rows, coin_decimals,
+    source, issues)``: a spec's ``read_rows``, with its ``finish`` bound
+    where a record needs more than its columns. Each row is dropped once read.
     """
     issues: list[ValidationIssue] = []
     records = []
@@ -534,13 +509,41 @@ def _sections(document: dict[str, Any], source: str, coin_decimals: int, **reade
             if not isinstance(rows, list):
                 issues.append(ValidationIssue(name, "schema_mismatch", "must be an array"))
                 rows = []
-            if isinstance(read, _Spec):
-                records.append(read.read_rows(rows, coin_decimals, name, issues))
-            else:
-                records.append(_collect(name, _released(rows), read, issues))
+            records.append(read(rows, coin_decimals, name, issues))
     if issues:
         raise DatasetInvalid(issues)
     return records
+
+
+# Each keyed section of ``merge``: the spec of its records, the suffix its
+# file's name takes in an issue's source, and its records in a loaded file.
+_KEYED = {
+    "days": (_DAY, "", attrgetter("days")),
+    "apps": (_APP, ":apps", attrgetter("apps")),
+    "l2s": (_L2, ":l2s", attrgetter("entries")),
+}
+
+
+def merge(section: str, files: Iterable[tuple[str, Any]], issues: list[ValidationIssue]) -> tuple:
+    """The records of one keyed section (``days``, ``apps`` or ``l2s``) of several loaded files as one.
+
+    ``files`` are ``(name, loaded)`` pairs: a ``Dataset``, ``AppBundle`` or
+    ``L2Bundle``. A record whose key an earlier file already gave is a
+    ``duplicate_date`` issue of the later file's section and is dropped:
+    ``duplicate <noun> <key>, also in <first file>``, in the key columns and
+    noun of the section's spec.
+    """
+    spec, suffix, records_of = _KEYED[section]
+    attrs = [column.attr for column in spec.columns[: spec.key]]
+    merged, first_file = {}, {}
+    for name, loaded in files:
+        for record in records_of(loaded):
+            if (key := tuple(getattr(record, attr) for attr in attrs)) in merged:
+                reason = f"duplicate {spec.duplicate} {' '.join(map(str, key))}, also in {first_file[key]}"
+                issues.append(ValidationIssue(name + suffix, "duplicate_date", reason, column="date"))
+            else:
+                merged[key], first_file[key] = record, name
+    return tuple(merged.values())
 
 
 class Decoded(NamedTuple):
@@ -612,12 +615,7 @@ def day_from_fields(
     Raises ``RowProblem`` on the first problem; shared by the layer-2 loader
     and the remote cache, so a day validates the same everywhere.
     """
-    return _day(_DAY.reader(fields, coin_decimals), consensus)
-
-
-def _day_reader(consensus: ConsensusParams, coin_decimals: int) -> Callable:
-    """The days reader of a days CSV and of an index response: a row in, its NetworkDay out, each date once."""
-    return _keyed(_DAY, coin_decimals, lambda values, row: _day(values, consensus))
+    return _DAY.reader(fields, coin_decimals, finish=lambda values, row: _day(values, consensus))
 
 
 def day_to_fields(day: NetworkDay) -> dict[str, Any]:
@@ -640,17 +638,24 @@ def parse_network_csv(
     if header != NETWORK_CSV_COLUMNS:
         expected = ",".join(NETWORK_CSV_COLUMNS)
         raise SchemaMismatch(source, f"header {','.join(header)!r} does not match {expected!r}")
-    read_day = _day_reader(consensus, coin_decimals)
-
-    def parse_line(line: str) -> NetworkDay:
-        cells = line.split(",")
-        if len(cells) != len(NETWORK_CSV_COLUMNS):
-            raise RowProblem(None, f"expected {len(NETWORK_CSV_COLUMNS)} cells, got {len(cells)}")
-        return read_day(dict(zip(NETWORK_CSV_COLUMNS, cells)))
-
+    width = len(NETWORK_CSV_COLUMNS)
     issues: list[ValidationIssue] = []
-    rows = ((row_no, line) for row_no, line in enumerate(lines[1:], start=1) if line)
-    days = _collect(source, rows, parse_line, issues)
+    rows, numbers = [], []  # the loop numbers ``rows`` from 1; ``numbers`` holds their rows in the file
+    with bulk():
+        for number, line in enumerate(lines[1:], start=1):
+            if not line:  # skipped, but counted
+                continue
+            cells = line.split(",")
+            if len(cells) == width:
+                rows.append(dict(zip(NETWORK_CSV_COLUMNS, cells)))
+                numbers.append(number)
+            else:
+                reason = f"expected {width} cells, got {len(cells)}"
+                issues.append(ValidationIssue(source, "row_invalid", reason, number))
+        read_issues: list[ValidationIssue] = []
+        days = _DAY.read_rows(rows, coin_decimals, source, read_issues, lambda values, row: _day(values, consensus))
+    issues += [replace(issue, row=numbers[issue.row - 1]) for issue in read_issues]
+    issues.sort(key=attrgetter("row"))
     if issues:
         raise DatasetInvalid(issues)
     return Dataset(network_id, consensus, tuple(sorted(days, key=_DAY.sort_key)))
@@ -671,7 +676,7 @@ def parse_portfolio_json(
     if not isinstance(network_id, str) or not network_id:
         raise SchemaMismatch(source, "missing network_id")
     holdings, transactions = _sections(
-        document, source, coin_decimals, holdings=_HOLDING, transactions=_TRANSACTION
+        document, source, coin_decimals, holdings=_HOLDING.read_rows, transactions=_TRANSACTION.read_rows
     )
     return Portfolio(network_id, tuple(holdings), tuple(transactions))
 
@@ -688,8 +693,8 @@ def parse_apps_json(
         _json_document(text, source),
         source,
         coin_decimals,
-        apps=_keyed(_APP, coin_decimals),
-        token_holdings=_TOKEN_HOLDING,
+        apps=_APP.read_rows,
+        token_holdings=_TOKEN_HOLDING.read_rows,
     )
     return AppBundle(tuple(apps), tuple(token_holdings))
 
@@ -726,7 +731,7 @@ def parse_l2_json(
         return Layer2Day(internal_day=day_from_fields(internal, params, coin_decimals), **values)
 
     document = _json_document(text, source)
-    (entries,) = _sections(document, source, coin_decimals, l2s=_keyed(_L2, coin_decimals, entry))
+    (entries,) = _sections(document, source, coin_decimals, l2s=functools.partial(_L2.read_rows, finish=entry))
     return L2Bundle(entries=tuple(entries), consensus=consensus_map)
 
 

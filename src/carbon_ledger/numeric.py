@@ -114,16 +114,22 @@ def _round_half_even(n: int, d: int, sig_digits: int) -> tuple[int, int]:
         raise ArgumentMismatch("sig_digits must be >= 1")
     if n == 0:
         return 0, 0
-    low, high = 10 ** (sig_digits - 1), 10**sig_digits
+    high = 10**sig_digits
+    low = high // 10
     # floor(log10(n/d)) estimated from bit lengths; the loop makes it exact
     k = (n.bit_length() - d.bit_length()) * 30103 // 100000 - sig_digits + 1
     while True:
-        num, div = (n, d * 10**k) if k >= 0 else (n * 10**-k, d)
-        q, r = divmod(num, div)
+        if k >= 0:
+            div = d * 10**k
+            q, r = divmod(n, div)
+        else:
+            div = d
+            q, r = divmod(n * 10**-k, d)
         if low <= q < high:
             break
         k += 1 if q >= high else -1
-    if 2 * r > div or (2 * r == div and q % 2 == 1):
+    r += r  # the tie test compares 2r with the divisor
+    if r > div or (r == div and q % 2 == 1):
         q += 1
         if q == high:
             q, k = low, k + 1

@@ -15,6 +15,7 @@ counts as a miss, so its range is fetched again and the entry rewritten.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 import os
 import re
@@ -146,9 +147,11 @@ class RemoteDayClient:
 
         try:
             document = self._http_get(network_id, start, end)
-            read_day = ingestion._day_reader(self.consensus, self.coin_decimals)
+            read_days = functools.partial(
+                ingestion._DAY.read_rows, finish=lambda values, row: ingestion._day(values, self.consensus)
+            )
             # a response must hold its days array, where a file may leave a section out
-            (days,) = ingestion._sections({"days": document.get("days")}, network_id, self.coin_decimals, days=read_day)
+            (days,) = ingestion._sections({"days": document.get("days")}, network_id, self.coin_decimals, days=read_days)
         except (SchemaMismatch, DatasetInvalid) as exc:
             raise MalformedResponse(str(exc)) from None
         fetched = {day.date: day for day in days}

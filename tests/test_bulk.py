@@ -12,8 +12,8 @@ from click.testing import CliRunner
 
 from carbon_ledger import DatasetInvalid, SchemaMismatch, engine, ingestion
 from carbon_ledger.cli import main
-from carbon_ledger.ingestion import _collect, bulk, parse_portfolio_json, serialize_network_csv
-from conftest import bitcoin_2021_days
+from carbon_ledger.ingestion import bulk, parse_network_csv, parse_portfolio_json, serialize_network_csv
+from conftest import POW, bitcoin_2021_days
 
 BAD_ROW = {
     "schema_version": "1",
@@ -28,10 +28,19 @@ def restore_gc():
     gc.enable()
 
 
-def test_row_loop_runs_with_gc_paused():
+def test_row_loop_runs_with_gc_paused(monkeypatch):
+    seen = []
+    day = ingestion._day
+
+    def recording(values, consensus):
+        seen.append(gc.isenabled())
+        return day(values, consensus)
+
+    monkeypatch.setattr(ingestion, "_day", recording)
     assert gc.isenabled()
-    seen = _collect("rows", [(1, None), (2, None)], lambda row: gc.isenabled(), [])
-    assert seen == [False, False]
+    dataset = parse_network_csv(serialize_network_csv(bitcoin_2021_days()[:3]), "days.csv", "bitcoin", POW)
+    assert len(dataset.days) == 3
+    assert seen == [False, False, False]
     assert gc.isenabled()
 
 

@@ -115,6 +115,36 @@ class TestNetworkCsv:
         assert len(excinfo.value.issues) == 4
         assert [i.row for i in excinfo.value.issues] == [1, 3, 4, 5]
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_row_numbers_count_blank_lines_and_issues_stay_in_row_order(self, eol):
+        def day(date, supply="18716000"):
+            return f"{date},1000,900,60,{supply},,250000,,,"
+
+        rows = [
+            day("2021-01-01"),
+            "",                                             # 2: blank, skipped but counted
+            "2021-01-02,1000",                              # 3: short line
+            "2021-01-03,-5,900,60,18716000,,250000,,,",     # 4: negative energy
+            day("2021-01-04") + ",",                        # 5: long line
+            "",
+            day("2021-01-01"),                              # 7: duplicate date after a blank line
+            day("2021-01-05", supply="0"),                  # 8: zero supply
+            day("2021-01-06"),
+        ]
+        text = HEADER + eol + eol.join(rows) + eol + eol + eol  # two blank lines at the end
+        with pytest.raises(DatasetInvalid) as excinfo:
+            parse_network_csv(text, "x.csv", "n", POW)
+        assert [issue.render() for issue in excinfo.value.issues] == [
+            "x.csv row 3: expected 10 cells, got 2 [row_invalid]",
+            "x.csv row 4 column 'energy_wh': negative value not allowed: '-5' [row_invalid]",
+            "x.csv row 5: expected 10 cells, got 11 [row_invalid]",
+            "x.csv row 7 column 'date': duplicate date 2021-01-01 [duplicate_date]",
+            "x.csv row 8 column 'coin_supply': must be > 0 [row_invalid]",
+        ]
+        clean = HEADER + eol + eol.join([day("2021-01-06"), "", day("2021-01-01")]) + eol + eol
+        dataset = parse_network_csv(clean, "x.csv", "n", POW)
+        assert [d.date.day for d in dataset.days] == [1, 6]
+
     def test_rows_sorted_on_load(self):
         rows = [GOOD_POW_ROW, "2021-01-01,1000,900,60,18716000,,250000,,,"]
         dataset = parse_network_csv(csv_text(*rows), "x.csv", "n", POW)
