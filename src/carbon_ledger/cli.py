@@ -14,21 +14,13 @@ import json
 import os
 import shutil
 import sys
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
 import click
 
 from . import __version__, engine, ingestion, report
-from .errors import (
-    CarbonLedgerError,
-    DatasetInvalid,
-    RangeUnavailable,
-    SchemaMismatch,
-    Unreachable,
-    ValidationIssue,
-)
+from .errors import CarbonLedgerError, DatasetInvalid, RangeUnavailable, Unreachable
 from .ingestion import Dataset
 from .model import Consensus, ConsensusParams, Method
 from .numeric import DEFAULT_SIG_DIGITS
@@ -157,41 +149,7 @@ def validate(paths, network, consensus, coin_decimals, json_report):
     """
 
     def body():
-        params = ConsensusParams(Consensus(consensus))
-        issues: list[ValidationIssue] = []
-        loaded = {"days": [], "portfolio": [], "apps": [], "l2s": []}  # kind → its files: (name, loaded)
-        for raw_path in paths:
-            path = Path(raw_path)
-            try:
-                if path.suffix == ".csv":
-                    kind, document = "days", ingestion.load_network_csv(path, network, params, coin_decimals)
-                else:
-                    kind, document = ingestion.load_json_file(path, params, coin_decimals)
-            except SchemaMismatch as exc:
-                issues.append(ValidationIssue(exc.source, "schema_mismatch", exc.reason))
-            except DatasetInvalid as exc:
-                issues.extend(exc.issues)
-            else:
-                loaded[kind].append((path.name, document))
-
-        # the days, app days and L2 days of all files each form one set; see ingestion.merge
-        days, apps, l2s = (ingestion.merge(kind, loaded[kind], issues) for kind in ("days", "apps", "l2s"))
-        declared = {}  # L2 id → (the consensus the first file to declare one gives it, that file)
-        for name, l2_file in loaded["l2s"]:
-            for l2_id, l2_kind in l2_file.consensus.items():
-                first, first_file = declared.setdefault(l2_id, (l2_kind, name))
-                if l2_kind is not first:
-                    reason = f"conflicting consensus for {l2_id}, declared {first.value} in {first_file}"
-                    issues.append(ValidationIssue(name + ":l2s", "join_invalid", reason, column="consensus"))
-        if loaded["days"]:
-            dataset = Dataset(network, params, tuple(sorted(days, key=attrgetter("date"))))
-            # every app and L2 file joins as one registry, then each portfolio on its own
-            token_holdings = tuple(holding for _, bundle in loaded["apps"] for holding in bundle.token_holdings)
-            joined = dataclasses.replace(dataset, apps=apps, l2s=l2s)
-            issues.extend(ingestion.join_issues(joined, token_holdings=token_holdings))
-            for _, portfolio in loaded["portfolio"]:
-                issues.extend(ingestion.join_issues(dataset, portfolio=portfolio))
-
+        issues = ingestion.validate_files(paths, network, ConsensusParams(Consensus(consensus)), coin_decimals)
         if json_report:
             payload = {"ok": not issues, "issues": [dataclasses.asdict(issue) for issue in issues]}
             click.echo(json.dumps(payload, indent=2, sort_keys=True))

@@ -1,5 +1,9 @@
 """File ingestion: parse, validate, and join every input dataset.
 
+Every input rule lives here: ``validate_files`` checks a set of files in one
+call, and the remote client reads responses and cache entries through public
+names. Every network day, from any source, is read by one days loop.
+
 Network telemetry arrives as wide CSV, one row per UTC day; portfolios, app
 registries, and layer-2 descriptors arrive as JSON with all decimals encoded
 as strings. Each record type declares its columns once (``_Spec``); that one
@@ -310,7 +314,7 @@ class _Spec:
 
     ``noun`` names a row that is not an object. The first ``key`` columns
     identify a record and must be unique in a document and across the files
-    ``merge`` joins (``duplicate`` names one in the problem); ``order`` lists
+    ``_merge`` joins (``duplicate`` names one in the problem); ``order`` lists
     the attributes that sort output.
     ``build`` makes the record from its values by attribute. A ``record``
     class is made instead without its ``__init__``, its slots set directly,
@@ -499,7 +503,7 @@ def _sections(document: dict[str, Any], source: str, coin_decimals: int, **reade
 
     Each array is read by its section loop, ``read(rows, coin_decimals,
     source, issues)``: a spec's ``read_rows``, with its ``finish`` bound
-    where a record needs more than its columns. Each row is dropped once read.
+    where a record needs more than its columns (days: ``_read_days``). Each row is dropped once read.
     """
     issues: list[ValidationIssue] = []
     records = []
@@ -515,29 +519,16 @@ def _sections(document: dict[str, Any], source: str, coin_decimals: int, **reade
     return records
 
 
-# Each keyed section of ``merge``: the spec of its records, the suffix its
-# file's name takes in an issue's source, and its records in a loaded file.
-_KEYED = {
-    "days": (_DAY, "", attrgetter("days")),
-    "apps": (_APP, ":apps", attrgetter("apps")),
-    "l2s": (_L2, ":l2s", attrgetter("entries")),
-}
+def _merge(spec: _Spec, suffix: str, files: Iterable[tuple[str, Iterable]], issues: list[ValidationIssue]) -> tuple:
+    """The records of one keyed section (days, app days or layer-2 days) of several files as one.
 
-
-def merge(section: str, files: Iterable[tuple[str, Any]], issues: list[ValidationIssue]) -> tuple:
-    """The records of one keyed section (``days``, ``apps`` or ``l2s``) of several loaded files as one.
-
-    ``files`` are ``(name, loaded)`` pairs: a ``Dataset``, ``AppBundle`` or
-    ``L2Bundle``. A record whose key an earlier file already gave is a
-    ``duplicate_date`` issue of the later file's section and is dropped:
-    ``duplicate <noun> <key>, also in <first file>``, in the key columns and
-    noun of the section's spec.
+    ``files`` are ``(name, records)`` pairs. A record whose key an earlier file gave is dropped, as a
+    ``duplicate_date`` issue of the later file (its name plus ``suffix``) in ``spec``'s key columns and noun.
     """
-    spec, suffix, records_of = _KEYED[section]
     attrs = [column.attr for column in spec.columns[: spec.key]]
     merged, first_file = {}, {}
-    for name, loaded in files:
-        for record in records_of(loaded):
+    for name, records in files:
+        for record in records:
             if (key := tuple(getattr(record, attr) for attr in attrs)) in merged:
                 reason = f"duplicate {spec.duplicate} {' '.join(map(str, key))}, also in {first_file[key]}"
                 issues.append(ValidationIssue(name + suffix, "duplicate_date", reason, column="date"))
@@ -557,11 +548,13 @@ class Decoded(NamedTuple):
     document: dict[str, Any]
 
 
-def _decode(text: str, source: str) -> dict[str, Any]:
-    """The top-level object of a JSON text."""
+def _decode(text: str | bytes, source: str) -> dict[str, Any]:
+    """The top-level object of a JSON text, or of its UTF-8 bytes."""
     try:
         with bulk():
-            document = json.loads(text)
+            document = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(source, f"not UTF-8 text: {exc}") from None
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too long a number, or nesting too deep
         raise SchemaMismatch(source, f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
@@ -569,9 +562,9 @@ def _decode(text: str, source: str) -> dict[str, Any]:
     return document
 
 
-def _json_document(text: str | dict[str, Any], source: str) -> dict[str, Any]:
-    """The schema-checked document of a JSON text, or of its top-level object already decoded."""
-    document = _decode(text, source) if isinstance(text, str) else text
+def json_document(text: str | bytes | dict[str, Any], source: str) -> dict[str, Any]:
+    """The schema-checked document of a JSON text or its UTF-8 bytes, or of its top-level object already decoded."""
+    document = text if isinstance(text, dict) else _decode(text, source)
     version = document.get("schema_version")
     if not isinstance(version, str) or not version:
         raise SchemaMismatch(source, "missing schema_version")
@@ -607,15 +600,20 @@ def _day(values: dict[str, Any], consensus: ConsensusParams) -> NetworkDay:
     return day
 
 
+def _read_days(consensus: ConsensusParams, rows: list, coin_decimals: int, source=None, issues=None) -> list:
+    """The one days section loop (``read_rows``): each row's values become a day under ``consensus``."""
+    return _DAY.read_rows(rows, coin_decimals, source, issues, lambda values, row: _day(values, consensus))
+
+
 def day_from_fields(
     fields: Mapping[str, Any], consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> NetworkDay:
-    """Build one validated NetworkDay from named cells.
+    """Build one validated NetworkDay from named cells: a days row read alone.
 
-    Raises ``RowProblem`` on the first problem; shared by the layer-2 loader
-    and the remote cache, so a day validates the same everywhere.
+    Raises ``RowProblem`` on the first problem; reads each remote cache entry
+    and layer-2 ``internal_day``, so a day validates the same everywhere.
     """
-    return _DAY.reader(fields, coin_decimals, finish=lambda values, row: _day(values, consensus))
+    return _read_days(consensus, [fields], coin_decimals)[0]
 
 
 def day_to_fields(day: NetworkDay) -> dict[str, Any]:
@@ -653,7 +651,7 @@ def parse_network_csv(
                 reason = f"expected {width} cells, got {len(cells)}"
                 issues.append(ValidationIssue(source, "row_invalid", reason, number))
         read_issues: list[ValidationIssue] = []
-        days = _DAY.read_rows(rows, coin_decimals, source, read_issues, lambda values, row: _day(values, consensus))
+        days = _read_days(consensus, rows, coin_decimals, source, read_issues)
     issues += [replace(issue, row=numbers[issue.row - 1]) for issue in read_issues]
     issues.sort(key=attrgetter("row"))
     if issues:
@@ -671,7 +669,7 @@ def parse_portfolio_json(
     text: str | dict[str, Any], source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> Portfolio:
     """Parse and validate a portfolio document: its JSON text, or its top-level object (see ``Decoded``)."""
-    document = _json_document(text, source)
+    document = json_document(text, source)
     network_id = document.get("network_id")
     if not isinstance(network_id, str) or not network_id:
         raise SchemaMismatch(source, "missing network_id")
@@ -690,7 +688,7 @@ def parse_apps_json(
 ) -> AppBundle:
     """Parse and validate an app registry document: its JSON text, or its top-level object."""
     apps, token_holdings = _sections(
-        _json_document(text, source),
+        json_document(text, source),
         source,
         coin_decimals,
         apps=_APP.read_rows,
@@ -703,6 +701,17 @@ def load_apps_json(path: str | Path | Decoded, coin_decimals: int = DEFAULT_COIN
     return parse_apps_json(*_document(path), coin_decimals)
 
 
+def parse_days_json(
+    document: dict[str, Any], network_id: str, consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
+) -> tuple[NetworkDay, ...]:
+    """The days of an index response's schema-checked document, which must hold a ``days`` array.
+
+    Every issue, named ``<network_id>:days``, is raised at once as DatasetInvalid.
+    """
+    read = functools.partial(_read_days, consensus)
+    return tuple(_sections({"days": document.get("days")}, network_id, coin_decimals, days=read)[0])
+
+
 def parse_l2_json(
     text: str | dict[str, Any],
     source: str,
@@ -712,9 +721,13 @@ def parse_l2_json(
     """Parse and validate layer-2 descriptors: their JSON text, or its top-level object.
 
     Each entry may declare its own ``consensus`` (a PoS layer-2 can anchor
-    to a PoW layer-1); entries without one are validated against the host's.
+    to a PoW layer-1). A layer-2's first valid entry fixes its kind, its own
+    declaration or else the host's; each later entry is validated under that
+    kind, and one that declares another is a conflict. An invalid entry fixes
+    nothing. ``L2Bundle.consensus`` holds the declared kinds only.
     """
-    consensus_map: dict[str, Consensus] = {}
+    declared: dict[str, Consensus] = {}
+    fixed: dict[str, Consensus] = {}  # L2 id → the kind its first valid entry gave it
 
     def entry(values: dict[str, Any], row: dict[str, Any]) -> Layer2Day:
         l2_id = values["l2_id"]
@@ -722,17 +735,22 @@ def parse_l2_json(
         if kind is not None:
             if not isinstance(kind, str) or kind not in ("pow", "pos"):
                 raise RowProblem("consensus", f"must be 'pow' or 'pos', got {kind!r}")
-            if consensus_map.setdefault(l2_id, Consensus(kind)) is not Consensus(kind):
+            kind = Consensus(kind)
+            if fixed.get(l2_id, kind) is not kind:
                 raise RowProblem("consensus", f"conflicting consensus for {l2_id}")
         internal = row.get("internal_day")
         if not isinstance(internal, dict):
             raise RowProblem("internal_day", "object required")
-        params = ConsensusParams(consensus_map.get(l2_id, host_consensus.kind))
-        return Layer2Day(internal_day=day_from_fields(internal, params, coin_decimals), **values)
+        params = ConsensusParams(fixed.get(l2_id, kind or host_consensus.kind))
+        record = Layer2Day(internal_day=day_from_fields(internal, params, coin_decimals), **values)
+        fixed[l2_id] = params.kind
+        if kind is not None:
+            declared[l2_id] = kind
+        return record
 
-    document = _json_document(text, source)
+    document = json_document(text, source)
     (entries,) = _sections(document, source, coin_decimals, l2s=functools.partial(_L2.read_rows, finish=entry))
-    return L2Bundle(entries=tuple(entries), consensus=consensus_map)
+    return L2Bundle(entries=tuple(entries), consensus=declared)
 
 
 def load_l2_json(
@@ -741,22 +759,54 @@ def load_l2_json(
     return parse_l2_json(*_document(path), host_consensus, coin_decimals)
 
 
-def load_json_file(path: str | Path, consensus: ConsensusParams, coin_decimals: int) -> tuple[str, Any]:
-    """A JSON file's kind and what its kind's loader makes of it, the file decoded once.
+def validate_files(
+    paths: Iterable[str | Path], network_id: str, consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
+) -> list[ValidationIssue]:
+    """Every issue of a set of input files, alone and together, in ``validate``'s order; [] when all hold.
 
-    Its keys name the kind: ``holdings``/``transactions``, else ``apps``/``token_holdings``,
-    else ``l2s`` (whose entries take the host's ``consensus``). Raises SchemaMismatch
-    when the file is not UTF-8 JSON, its top level is not an object, or it has none of them.
+    A ``.csv`` file is days; a JSON file's keys make it a portfolio, else apps, else layer-2 descriptors.
+    The apps and layer-2s join the days as one registry, then each portfolio joins them alone.
     """
-    document, name = _document(path)
-    decoded = Decoded(name, document)
-    if "holdings" in document or "transactions" in document:
-        return "portfolio", load_portfolio_json(decoded, coin_decimals)
-    if "apps" in document or "token_holdings" in document:
-        return "apps", load_apps_json(decoded, coin_decimals)
-    if "l2s" in document:
-        return "l2s", load_l2_json(decoded, consensus, coin_decimals)
-    raise SchemaMismatch(name, "unrecognized document kind")
+    issues: list[ValidationIssue] = []
+    days, portfolios, apps, l2s = [], [], [], []  # each kind's files, as (name, loaded)
+    for path in map(Path, paths):
+        try:
+            if path.suffix == ".csv":
+                days.append((path.name, load_network_csv(path, network_id, consensus, coin_decimals)))
+                continue
+            document, name = _document(path)
+            decoded = Decoded(name, document)
+            if "holdings" in document or "transactions" in document:
+                portfolios.append((name, load_portfolio_json(decoded, coin_decimals)))
+            elif "apps" in document or "token_holdings" in document:
+                apps.append((name, load_apps_json(decoded, coin_decimals)))
+            elif "l2s" in document:
+                l2s.append((name, load_l2_json(decoded, consensus, coin_decimals)))
+            else:
+                raise SchemaMismatch(name, "unrecognized document kind")
+        except SchemaMismatch as exc:
+            issues.append(ValidationIssue(exc.source, "schema_mismatch", exc.reason))
+        except DatasetInvalid as exc:
+            issues.extend(exc.issues)
+
+    merged_days = _merge(_DAY, "", [(name, dataset.days) for name, dataset in days], issues)
+    merged_apps = _merge(_APP, ":apps", [(name, bundle.apps) for name, bundle in apps], issues)
+    merged_l2s = _merge(_L2, ":l2s", [(name, bundle.entries) for name, bundle in l2s], issues)
+    first_declared = {}  # L2 id → (the consensus the first file to declare one gives it, that file)
+    for name, bundle in l2s:
+        for l2_id, kind in bundle.consensus.items():
+            first, first_file = first_declared.setdefault(l2_id, (kind, name))
+            if kind is not first:
+                reason = f"conflicting consensus for {l2_id}, declared {first.value} in {first_file}"
+                issues.append(ValidationIssue(name + ":l2s", "join_invalid", reason, column="consensus"))
+    if days:
+        dataset = Dataset(network_id, consensus, tuple(sorted(merged_days, key=_DAY.sort_key)))
+        token_holdings = tuple(holding for _, bundle in apps for holding in bundle.token_holdings)
+        registry = replace(dataset, apps=merged_apps, l2s=merged_l2s)
+        issues.extend(join_issues(registry, token_holdings=token_holdings))
+        for _, portfolio in portfolios:
+            issues.extend(join_issues(dataset, portfolio=portfolio))
+    return issues
 
 
 def join_issues(

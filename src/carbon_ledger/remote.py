@@ -15,7 +15,6 @@ counts as a miss, so its range is fetched again and the entry rewritten.
 from __future__ import annotations
 
 import datetime as _dt
-import functools
 import json
 import os
 import re
@@ -84,9 +83,9 @@ class RemoteDayClient:
         """The cached day, or None when its entry is missing, unreadable or invalid."""
         path = self._cache_path(network_id, date)
         try:
-            fields = ingestion._decode(path.read_text(encoding="utf-8"), path.name)
+            fields = json.loads(path.read_text(encoding="utf-8"))
             day = ingestion.day_from_fields(fields, self.consensus, self.coin_decimals)
-        except (OSError, ValueError, SchemaMismatch):  # a UnicodeDecodeError and a RowProblem are ValueErrors
+        except (OSError, ValueError, RecursionError):  # undecodable text, invalid JSON and a RowProblem are ValueErrors
             return None
         return day if day.date == date else None
 
@@ -122,11 +121,7 @@ class RemoteDayClient:
             raise Unreachable(f"{url}: HTTP {exc.code}") from None
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise Unreachable(f"{url}: {exc}") from None
-        try:
-            text = body.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaMismatch(url, f"not UTF-8 text: {exc}") from None
-        return ingestion._json_document(text, url)
+        return ingestion.json_document(body, url)
 
     def fetch_days(
         self, network_id: str, start: _dt.date, end: _dt.date
@@ -134,7 +129,7 @@ class RemoteDayClient:
         """Days for [start, end] inclusive, from cache when fully covered.
 
         When any day is missing locally, the whole range is requested once,
-        read by ingestion's days reader, and written through the cache. Any
+        read by ``ingestion.parse_days_json``, and written through the cache. Any
         problem with the response is one MalformedResponse naming every bad row.
         """
         check_network_id(network_id)
@@ -147,11 +142,7 @@ class RemoteDayClient:
 
         try:
             document = self._http_get(network_id, start, end)
-            read_days = functools.partial(
-                ingestion._DAY.read_rows, finish=lambda values, row: ingestion._day(values, self.consensus)
-            )
-            # a response must hold its days array, where a file may leave a section out
-            (days,) = ingestion._sections({"days": document.get("days")}, network_id, self.coin_decimals, days=read_days)
+            days = ingestion.parse_days_json(document, network_id, self.consensus, self.coin_decimals)
         except (SchemaMismatch, DatasetInvalid) as exc:
             raise MalformedResponse(str(exc)) from None
         fetched = {day.date: day for day in days}

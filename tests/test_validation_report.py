@@ -321,7 +321,6 @@ l2.json:l2s row 11 column 'pos_tx_share': required for proof-of-stake days [row_
 l2.json:l2s row 12 column 'l1_fee_share': must be within [0, 1], got 3/2 [row_invalid]
 l2.json:l2s row 13 column 'infra_energy_wh': value required [row_invalid]
 l2.json:l2s row 14: layer-2 entry must be an object [row_invalid]
-l2.json:l2s row 15 column 'pos_tx_share': required for proof-of-stake days [row_invalid]
 l2.json:l2s row 16 column 'internal_day': object required [row_invalid]
 l2.json:l2s row 17 column 'tx_fees_total': must be 0 on a day with no transactions [row_invalid]
 badversion.json: unsupported schema_version '2' [schema_mismatch]
@@ -344,7 +343,7 @@ portfolio.transactions column 'date': c: no network day for 2021-03-01 [join_inv
 }
 
 EXPECTED_JSON_SHA256 = {
-    "malformed": "4dbb8b42068c7287e0c020307d0f638cd8ae95fe02748ff0f6d6a2ad82ebfabf",
+    "malformed": "700f8ddbc777d5443022fa0ca5d04cab1e195e6de77264cdf80e283991cf271d",
     "join_failures": "4b17baf8916642547758e9fd30f8f50e4bda2d3f4595ab49b591b15449f3cfec",
 }
 
