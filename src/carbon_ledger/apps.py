@@ -10,8 +10,6 @@ whatever share of the pool no app claims stays allocated at the network level.
 
 from __future__ import annotations
 
-import datetime as _dt
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import engine
@@ -19,18 +17,16 @@ from .errors import ArgumentMismatch, NoTransactions, NotAToken, RowProblem, Sha
 from .model import (
     Activity,
     AllocationResult,
-    CoinAmount,
     ConsensusParams,
     Energy,
     Method,
     NetworkDay,
-    Share,
     TransactionRecord,
+    Value,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class AppDay:
+class AppDay(Value):
     """One day of telemetry for a layer-1 application.
 
     ``app_fee_share`` is the app's share of the day's total network
@@ -39,11 +35,8 @@ class AppDay:
     NFT collections use the number of distinct items.
     """
 
-    app_id: str
-    date: _dt.date
-    app_fee_share: Share
-    app_tx_count: int
-    token_supply: CoinAmount | None = None
+    __slots__ = ("app_id", "date", "app_fee_share", "app_tx_count", "token_supply")
+    _defaults = {"token_supply": None}
 
     def __post_init__(self):
         if self.app_tx_count < 0:
@@ -52,14 +45,13 @@ class AppDay:
             raise RowProblem("token_supply", "must be > 0 when present")
 
 
-@dataclass(frozen=True, slots=True)
-class TokenHolding:
-    """An entity's average token balance in one app over one UTC day."""
+class TokenHolding(Value):
+    """An entity's average token balance in one app over one UTC day.
 
-    entity_id: str
-    app_id: str
-    date: _dt.date
-    amount: CoinAmount
+    Its fields are ``entity_id``, ``app_id``, ``date`` and ``amount``.
+    """
+
+    __slots__ = ("entity_id", "app_id", "date", "amount")
 
 
 def _check_app_day(app: AppDay, day: NetworkDay) -> None:
@@ -107,11 +99,12 @@ def _app_plan(
     transaction_factors = (("app_transaction_weight", weights.transaction_weight.value),) if hybrid else ()
     fee_share = app.app_fee_share.value
     app_pool = plan.transaction.narrowed((("app_fee_share", fee_share),))
-    return replace(
-        plan,
+    return engine.DayPlan(
+        day=day,
         method=method,
         holding=app_pool.narrowed(holding_factors),
         transaction=app_pool.narrowed(transaction_factors),
+        effective_supply=plan.effective_supply,
         fee_total=plan.fee_total * fee_share if plan.fee_total is not None else None,
         gas_total=plan.gas_total * fee_share if plan.gas_total is not None else None,
         count_total=app.app_tx_count,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -49,6 +49,7 @@ from .model import (
     Portfolio,
     Share,
     TransactionRecord,
+    Value,
 )
 
 NETWORK_SCOPE = ("network",)
@@ -62,14 +63,10 @@ BASIS_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class MethodWeights:
+class MethodWeights(Value):
     """Hybrid split of one day's energy between holdings and transactions."""
 
-    date: _dt.date
-    holding_weight: Share
-    transaction_weight: Share
-    source: str
+    __slots__ = ("date", "holding_weight", "transaction_weight", "source")
 
     def __post_init__(self):
         if self.holding_weight.value + self.transaction_weight.value != 1:
@@ -106,23 +103,18 @@ def method_weights(day: NetworkDay, params: ConsensusParams) -> MethodWeights:
     )
 
 
-@dataclass(frozen=True)
-class DayPlan:
+class DayPlan(Value):
     """What every result of one day shares, computed once for the day.
 
-    The two pools are shared by all results drawing on them.
-    ``effective_supply`` and the fee, gas and count totals are the share
-    denominators.
+    The fields are ``day``, ``method``, the ``holding`` and ``transaction``
+    pools, shared by all results drawing on them, and the share
+    denominators: ``effective_supply`` and the ``fee_total``, ``gas_total``
+    and ``count_total``.
     """
 
-    day: NetworkDay
-    method: Method
-    holding: Pool
-    transaction: Pool
-    effective_supply: Fraction
-    fee_total: Fraction | None
-    gas_total: Fraction | None
-    count_total: int
+    __slots__ = (
+        "day", "method", "holding", "transaction", "effective_supply", "fee_total", "gas_total", "count_total"
+    )
 
     def pool(self, activity: Activity) -> Pool:
         return self.holding if activity is Activity.HOLDING else self.transaction
@@ -273,39 +265,32 @@ def allocate_transaction(
     return transaction_result(plan_day(day, weights, method, scope), tx, BASIS_ORDER[params.kind])
 
 
-@dataclass(frozen=True)
-class ActivitySummary:
+class ActivitySummary(Value):
     """Period aggregate for one activity: totals plus both averaging orders.
 
     ``daily_mean`` averages the per-day allocations over the days the
     activity actually covers (average of ratios, the primary figure).
     ``ratio_of_averages`` multiplies the mean pool by the mean daily share
     instead; it is exposed so users can reconcile the two orders.
+    ``total_carbon`` is None when no day had an emission factor.
     """
 
-    activity: Activity
-    result_count: int
-    days_covered: int
-    total_energy: Energy
-    daily_mean_energy: Energy
-    mean_pool: Energy
-    mean_daily_share: Fraction
-    ratio_of_averages_energy: Energy
-    total_carbon: Carbon | None
+    __slots__ = (
+        "activity", "result_count", "days_covered", "total_energy", "daily_mean_energy", "mean_pool",
+        "mean_daily_share", "ratio_of_averages_energy", "total_carbon",
+    )
 
 
-@dataclass(frozen=True)
-class PeriodSummary:
-    method: Method
-    holding: ActivitySummary | None
-    transaction: ActivitySummary | None
+class PeriodSummary(Value):
+    """The ``method`` and its ``holding`` and ``transaction`` summaries (None for an activity with no results)."""
+
+    __slots__ = ("method", "holding", "transaction")
 
 
-@dataclass(frozen=True)
-class PortfolioAllocation:
-    method: Method
-    results: tuple[AllocationResult, ...]
-    summary: PeriodSummary
+class PortfolioAllocation(Value):
+    """One allocation: its ``method``, its ``results`` in ``sort_key`` order and their ``summary``."""
+
+    __slots__ = ("method", "results", "summary")
 
 
 def _balanced_sum(terms: list[Fraction]) -> Fraction:

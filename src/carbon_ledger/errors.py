@@ -54,9 +54,9 @@ class RowProblem(CarbonLedgerError, ValueError):
 class ArgumentMismatch(CarbonLedgerError, ValueError):
     """Library arguments that do not fit together: another day's weights, records, apps or
     layer-2 days, a method that does not allocate the activity, unordered days, weights
-    that do not sum to 1, a result whose energy or carbon is not its audit's replay, a
-    significant-digit count below 1, a value with no finite decimal to render, or a
-    period with no days in the dataset."""
+    that do not sum to 1, a result whose energy or carbon is not its audit's replay, an
+    empty weight source (None stands for none), a significant-digit count below 1, a value
+    with no finite decimal to render, or a period with no days in the dataset."""
 
 
 class InvalidValue(CarbonLedgerError, ValueError):

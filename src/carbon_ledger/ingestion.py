@@ -13,16 +13,18 @@ round-trips are byte-identical by construction. Parsing is exact (no float
 round-trip anywhere) and validation reports every invalid row's first
 problem, rather than stopping at the first bad row.
 
-Each spec's section loop is generated at import as straight-line source, one
-local per column, as ``dataclasses`` builds ``__init__``: it reads a JSON
-array with no call per row, builds a clean cell (a plain non-negative decimal,
-a ``YYYY-MM-DD`` date, a non-empty id, a non-negative int count) inline and
-hands every other cell to its column's parser, so every row problem still
-comes from one place; the spec's row reader is that loop run on one row. It
-is the only row loop: a days CSV's lines are read by it as dicts, and a record
-that needs more than its columns (a network day's consensus rule, a layer-2
-entry's internal day) is made by the ``finish`` hook the loop calls on each
-row; a keyed record's key counts as seen only once that record is built.
+Each spec's section loop is generated as straight-line source on its first
+use, once, one local per column, as ``dataclasses`` builds ``__init__`` (an
+import compiles none, and ``allocate`` only the days, holding and transaction
+loops): it reads a JSON array with no call per row, builds a clean cell (a
+plain non-negative decimal, a ``YYYY-MM-DD`` date, a non-empty id, a
+non-negative int count) inline and hands every other cell to its column's
+parser, so every row problem still comes from one place; the spec's row
+reader is that loop run on one row. It is the only row loop: a days CSV's
+lines are read by it as dicts, and a record that needs more than its columns
+(a network day's consensus rule, a layer-2 entry's internal day) is made by
+the ``finish`` hook the loop calls on each row; a keyed record's key counts
+as seen only once that record is built.
 
 Documents are decoded and their records built inside ``bulk()``, with the
 cyclic garbage collector paused: those objects hold no cycles, and each
@@ -42,7 +44,6 @@ import gc
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
@@ -65,6 +66,7 @@ from .model import (
     Portfolio,
     Share,
     TransactionRecord,
+    Value,
 )
 from .numeric import _DECIMAL_TOKEN, decimal_str, split_decimal
 
@@ -72,34 +74,26 @@ SCHEMA_MAJOR = 1
 DEFAULT_COIN_DECIMALS = 18
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Value):
     """Validated, immutable in-memory form of one network's inputs."""
 
-    network_id: str
-    consensus: ConsensusParams
-    days: tuple[NetworkDay, ...]
-    apps: tuple[AppDay, ...] = ()
-    l2s: tuple[Layer2Day, ...] = ()
+    __slots__ = ("network_id", "consensus", "days", "apps", "l2s")
+    _defaults = {"apps": (), "l2s": ()}
 
     def day_map(self) -> dict[_dt.date, NetworkDay]:
         return {d.date: d for d in self.days}
 
 
-@dataclass(frozen=True)
-class AppBundle:
-    """Loaded app registry: per-day app telemetry plus token holdings."""
+class AppBundle(Value):
+    """Loaded app registry: per-day app telemetry (``apps``) plus ``token_holdings``."""
 
-    apps: tuple[AppDay, ...]
-    token_holdings: tuple[TokenHolding, ...]
+    __slots__ = ("apps", "token_holdings")
 
 
-@dataclass(frozen=True)
-class L2Bundle:
-    """Loaded layer-2 descriptors; ``consensus`` holds per-L2 overrides."""
+class L2Bundle(Value):
+    """Loaded layer-2 descriptors, ``entries``; ``consensus`` maps an L2 id to the kind its entries declare."""
 
-    entries: tuple[Layer2Day, ...]
-    consensus: dict[str, Consensus]
+    __slots__ = ("entries", "consensus")
 
 
 @contextmanager
@@ -320,10 +314,10 @@ class _Spec:
     class is made instead without its ``__init__``, its slots set directly,
     after the source ``fill`` (on the column values ``x0``, ``x1``, ...):
     the columns and ``fill`` hold every rule its ``__init__`` checks.
-    ``read_rows`` is the section loop generated from the columns, and
-    ``reader`` its one-row case; both take a ``finish(record, row)`` that
-    makes the final record (days and layer-2 entries build a dict of their
-    values for it), after which the row's key counts as seen.
+    ``read_rows`` is the section loop, generated from the columns when first
+    read, and ``reader`` its one-row case; both take a ``finish(record, row)``
+    that makes the final record (days and layer-2 entries build a dict of
+    their values for it), after which the row's key counts as seen.
     """
 
     def __init__(self, noun, columns, order, build=None, key=None, duplicate="", record=None, fill=""):
@@ -331,7 +325,13 @@ class _Spec:
         self.build, self.record, self.fill = build or record, record, fill
         self.names = tuple(column.name for column in columns)
         self.sort_key = attrgetter(*order)
-        self.read_rows, self.reader = _reader(self)
+
+    @functools.cached_property
+    def read_rows(self) -> Callable:
+        return _reader(self)
+
+    def reader(self, row: Any, coin_decimals: int, seen: set | None = None, finish: Callable | None = None) -> Any:
+        return self.read_rows([row], coin_decimals, None, None, finish, seen)[0]
 
     def fields(self, record: Any) -> dict[str, Any]:
         """The record as a canonical JSON object; absent columns are left out."""
@@ -346,14 +346,13 @@ class _Spec:
         return [self.fields(record) for record in sorted(records, key=self.sort_key)]
 
 
-def _reader(spec: _Spec) -> tuple[Callable, Callable]:
-    """The spec's section loop and its row reader: one body, generated as ``dataclasses`` builds ``__init__``.
+def _reader(spec: _Spec) -> Callable:
+    """The spec's section loop, generated as ``dataclasses`` builds ``__init__`` when ``read_rows`` is first read.
 
     ``read_rows(rows, coin_decimals, source=None, issues=None, finish=None,
     seen=None)`` returns the records of a JSON array, setting each slot to
     None as its row is taken: a row's RowProblem becomes its ValidationIssue
     (1-based row) in ``issues``, or is raised when ``issues`` is None.
-    ``reader(row, coin_decimals, seen=None, finish=None)`` runs it on one row.
     Per column, in order: at the key index, the test of the key so far
     against the keys seen; the cell, built inline when clean and by its
     parser otherwise; then its absence (required or default) or its bound.
@@ -412,12 +411,7 @@ def _reader(spec: _Spec) -> tuple[Callable, Callable]:
         "    return records",
     ]
     exec(compile("\n".join(lines), f"<{spec.noun} reader>", "exec"), names)
-    read_rows = names["read_rows"]
-
-    def reader(row: Any, coin_decimals: int, seen: set | None = None, finish: Callable | None = None) -> Any:
-        return read_rows([row], coin_decimals, None, None, finish, seen)[0]
-
-    return read_rows, reader
+    return names["read_rows"]
 
 
 def _transaction(fee_paid, gas_used, tx_count, entity_id, date) -> TransactionRecord:
@@ -652,7 +646,7 @@ def parse_network_csv(
                 issues.append(ValidationIssue(source, "row_invalid", reason, number))
         read_issues: list[ValidationIssue] = []
         days = _read_days(consensus, rows, coin_decimals, source, read_issues)
-    issues += [replace(issue, row=numbers[issue.row - 1]) for issue in read_issues]
+    issues += [ValidationIssue(i.source, i.code, i.reason, numbers[i.row - 1], i.column) for i in read_issues]
     issues.sort(key=attrgetter("row"))
     if issues:
         raise DatasetInvalid(issues)
@@ -750,7 +744,7 @@ def parse_l2_json(
 
     document = json_document(text, source)
     (entries,) = _sections(document, source, coin_decimals, l2s=functools.partial(_L2.read_rows, finish=entry))
-    return L2Bundle(entries=tuple(entries), consensus=declared)
+    return L2Bundle(tuple(entries), declared)
 
 
 def load_l2_json(
@@ -792,17 +786,22 @@ def validate_files(
     merged_days = _merge(_DAY, "", [(name, dataset.days) for name, dataset in days], issues)
     merged_apps = _merge(_APP, ":apps", [(name, bundle.apps) for name, bundle in apps], issues)
     merged_l2s = _merge(_L2, ":l2s", [(name, bundle.entries) for name, bundle in l2s], issues)
-    first_declared = {}  # L2 id → (the consensus the first file to declare one gives it, that file)
+    # a layer-2's kind is fixed by its first valid entry in argument order; a later file may not declare another
+    fixed = {}  # L2 id → (its kind, how that entry gave it, the entry's file)
     for name, bundle in l2s:
         for l2_id, kind in bundle.consensus.items():
-            first, first_file = first_declared.setdefault(l2_id, (kind, name))
+            first, how, first_file = fixed.get(l2_id, (kind, "", name))
             if kind is not first:
-                reason = f"conflicting consensus for {l2_id}, declared {first.value} in {first_file}"
+                reason = f"conflicting consensus for {l2_id}, {how} {first.value} in {first_file}"
                 issues.append(ValidationIssue(name + ":l2s", "join_invalid", reason, column="consensus"))
+        for entry in bundle.entries:
+            if entry.l2_id not in fixed:
+                declared = bundle.consensus.get(entry.l2_id)
+                fixed[entry.l2_id] = (declared or consensus.kind, "declared" if declared else "the host's", name)
     if days:
         dataset = Dataset(network_id, consensus, tuple(sorted(merged_days, key=_DAY.sort_key)))
         token_holdings = tuple(holding for _, bundle in apps for holding in bundle.token_holdings)
-        registry = replace(dataset, apps=merged_apps, l2s=merged_l2s)
+        registry = Dataset(network_id, consensus, dataset.days, merged_apps, merged_l2s)
         issues.extend(join_issues(registry, token_holdings=token_holdings))
         for _, portfolio in portfolios:
             issues.extend(join_issues(dataset, portfolio=portfolio))

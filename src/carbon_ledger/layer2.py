@@ -9,16 +9,14 @@ provenance chain, and nothing stops an L3 from repeating the construction.
 
 from __future__ import annotations
 
-import datetime as _dt
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import engine
 from .errors import ArgumentMismatch, RowProblem
-from .model import AllocationResult, ConsensusParams, Energy, Method, NetworkDay, Portfolio, Share
+from .model import AllocationResult, ConsensusParams, Energy, Method, NetworkDay, Portfolio, Value
 
 
-@dataclass(frozen=True, slots=True)
-class Layer2Day:
+class Layer2Day(Value):
     """One day of a layer-2 network: its layer-1 footprint plus its own.
 
     ``l1_fee_share`` is the share of the layer-1 day's transaction fees (or
@@ -28,11 +26,7 @@ class Layer2Day:
     allocation can recurse into it.
     """
 
-    l2_id: str
-    date: _dt.date
-    l1_fee_share: Share
-    infra_energy: Energy
-    internal_day: NetworkDay
+    __slots__ = ("l2_id", "date", "l1_fee_share", "infra_energy", "internal_day")
 
     def __post_init__(self):
         if self.internal_day.date != self.date:

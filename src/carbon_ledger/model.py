@@ -12,7 +12,10 @@ Design rules that everything below follows:
   Python calls and ingestion builds hundreds of thousands of these values.
 * All types are immutable values, safe to share across concurrent tasks,
   and slotted: no per-instance ``__dict__``. An ``AllocationResult`` keeps
-  what it reduces on first read; that cache never changes a value.
+  what it reduces on first read; that cache never changes a value. Most
+  derive what a frozen dataclass would generate from ``__slots__``
+  (``Value``), so no import runs ``dataclasses`` for them; ``NetworkDay``
+  stays a dataclass, so ``dataclasses.replace`` works on a day.
 * Coin amounts are unreduced integer ratios, ``units / scale``, as results
   are ``quantity / total``: a coin cell is read as its digits over
   ``10**places``, the join and the allocators cross-multiply the integers,
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import datetime as _dt
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Union
+from typing import Any, Callable, Union
 
 from .errors import ArgumentMismatch, InvalidValue, RowProblem
 from .numeric import DEFAULT_SIG_DIGITS, format_sig, parse_decimal
@@ -54,6 +57,83 @@ def _as_fraction(value: Numeric) -> Fraction:
     raise TypeError(f"expected Fraction, int, or decimal string, got {type(value).__name__}")
 
 
+class Value:
+    """Base of the immutable value types: a frozen dataclass's ``__init__``, ``==``, hash and repr, from ``__slots__``.
+
+    The fields are the ``__slots__``, in order. The constructor takes them
+    positionally or by name, a field left out takes its ``_defaults`` entry,
+    and ``__post_init__`` then checks them. Two values are equal when they
+    are of one class and their fields are equal. Assignment raises
+    ``AttributeError``, and a copy or pickle is rebuilt from the fields.
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init__(self, *values, **named):
+        fields, defaults = self.__slots__, self._defaults
+        try:
+            values += tuple(named.pop(name) if name in named else defaults[name] for name in fields[len(values) :])
+        except KeyError as missing:
+            raise TypeError(f"{self.__class__.__name__}() missing field {missing}") from None
+        if named or len(values) != len(fields):
+            raise TypeError(f"{self.__class__.__name__}() takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields once set: raise to reject them."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+def _compared(compare: Callable[[Any, Any], bool], operands: Callable = lambda a, b: (a._fields(), b._fields())):
+    """A comparison method: ``compare`` of ``operands(self, other)``, between two instances of one class.
+
+    By default the operands are the two values' fields, as ``order=True`` compares.
+    """
+
+    def method(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return compare(*operands(self, other))
+
+    return method
+
+
+class _Ordered(Value):
+    """A ``Value`` ordered by its fields."""
+
+    __slots__ = ()
+    __lt__ = _compared(operator.lt)
+    __le__ = _compared(operator.le)
+    __gt__ = _compared(operator.gt)
+    __ge__ = _compared(operator.ge)
+
+
 class Consensus(Enum):
     """Consensus mechanism; selects which telemetry columns are mandatory."""
 
@@ -61,29 +141,31 @@ class Consensus(Enum):
     POS = "pos"
 
 
-@dataclass(frozen=True)
-class ConsensusParams:
-    """Weighting inputs per consensus kind.
+class ConsensusParams(Value):
+    """Weighting inputs per consensus kind: ``kind``.
 
     PoW weights come from the day's reward/fee split and PoS weights from the
     day's marginal transaction share, so no extra fields are needed beyond
     the kind itself; the type exists as the dispatch handle.
     """
 
-    kind: Consensus
+    __slots__ = ("kind",)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Energy:
-    """Non-negative electricity quantity, stored exactly in watt-hours."""
+class Energy(_Ordered):
+    """Non-negative electricity quantity, stored exactly in watt-hours: ``wh``.
 
-    wh: Fraction
+    The section loops build ``Energy`` and ``Share`` per row, so these two
+    and ``Carbon`` set their one field in their own ``__init__``.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.wh, Fraction):
-            object.__setattr__(self, "wh", _as_fraction(self.wh))
-        if self.wh.numerator < 0:
-            raise InvalidValue(f"energy must be >= 0, got {self.wh}")
+    __slots__ = ("wh",)
+
+    def __init__(self, wh: Numeric):
+        wh = wh if isinstance(wh, Fraction) else _as_fraction(wh)
+        if wh.numerator < 0:
+            raise InvalidValue(f"energy must be >= 0, got {wh}")
+        object.__setattr__(self, "wh", wh)
 
     @classmethod
     def of(cls, value: Numeric, unit: str = "Wh") -> "Energy":
@@ -108,17 +190,16 @@ def convert_energy(energy: Energy, unit: str, sig_digits: int = DEFAULT_SIG_DIGI
     return format_sig(energy.value_in(unit), sig_digits)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Carbon:
-    """Non-negative mass of CO2-equivalent, in grams."""
+class Carbon(_Ordered):
+    """Non-negative mass of CO2-equivalent, in grams: ``grams``."""
 
-    grams: Fraction
+    __slots__ = ("grams",)
 
-    def __post_init__(self):
-        if not isinstance(self.grams, Fraction):
-            object.__setattr__(self, "grams", _as_fraction(self.grams))
-        if self.grams.numerator < 0:
-            raise InvalidValue(f"carbon must be >= 0, got {self.grams}")
+    def __init__(self, grams: Numeric):
+        grams = grams if isinstance(grams, Fraction) else _as_fraction(grams)
+        if grams.numerator < 0:
+            raise InvalidValue(f"carbon must be >= 0, got {grams}")
+        object.__setattr__(self, "grams", grams)
 
 
 def carbonize(energy: Energy, factor_g_per_kwh: Numeric) -> Carbon:
@@ -129,28 +210,21 @@ def carbonize(energy: Energy, factor_g_per_kwh: Numeric) -> Carbon:
     return Carbon(energy.wh / 1000 * factor)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Share:
-    """Exact fraction in [0, 1]; the unit of all weights and pool shares."""
+class Share(_Ordered):
+    """Exact fraction in [0, 1], ``value``; the unit of all weights and pool shares."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", _as_fraction(self.value))
-        if not 0 <= self.value.numerator <= self.value.denominator:
-            raise InvalidValue(f"share must be within [0, 1], got {self.value}")
+    def __init__(self, value: Numeric):
+        value = value if isinstance(value, Fraction) else _as_fraction(value)
+        if not 0 <= value.numerator <= value.denominator:
+            raise InvalidValue(f"share must be within [0, 1], got {value}")
+        object.__setattr__(self, "value", value)
 
 
-def _cross_compared(compare: Callable[[int, int], bool]) -> Callable:
-    """A ``CoinAmount`` comparison: ``compare`` of the two amounts' units over one denominator."""
-
-    def method(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return compare(self._units * other._scale, other._units * self._scale)
-
-    return method
+def _cross(a: "CoinAmount", b: "CoinAmount") -> tuple[int, int]:
+    """Two coin amounts' units over one denominator."""
+    return a._units * b._scale, b._units * a._scale
 
 
 class CoinAmount:
@@ -185,11 +259,11 @@ class CoinAmount:
     def value(self) -> Fraction:
         return Fraction(self._units, self._scale)
 
-    __eq__ = _cross_compared(operator.eq)
-    __lt__ = _cross_compared(operator.lt)
-    __le__ = _cross_compared(operator.le)
-    __gt__ = _cross_compared(operator.gt)
-    __ge__ = _cross_compared(operator.ge)
+    __eq__ = _compared(operator.eq, _cross)
+    __lt__ = _compared(operator.lt, _cross)
+    __le__ = _compared(operator.le, _cross)
+    __gt__ = _compared(operator.gt, _cross)
+    __ge__ = _compared(operator.ge, _cross)
 
     def __hash__(self):
         return hash(self.value)
@@ -288,17 +362,13 @@ class NetworkDay:
         return Fraction(units, self.coin_supply.scale * lost.denominator)
 
 
-@dataclass(frozen=True, slots=True)
-class HoldingRecord:
-    """An entity's average balance on a network over one UTC day."""
+class HoldingRecord(Value):
+    """An entity's average balance on a network over one UTC day: ``entity_id``, ``date``, ``amount``."""
 
-    entity_id: str
-    date: _dt.date
-    amount: CoinAmount
+    __slots__ = ("entity_id", "date", "amount")
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionRecord:
+class TransactionRecord(Value):
     """An entity's transaction activity on one UTC day.
 
     At least one basis quantity must be present; ``tx_count`` stays None when
@@ -306,11 +376,9 @@ class TransactionRecord:
     fabricate activity.
     """
 
-    entity_id: str
-    date: _dt.date
-    fee_paid: CoinAmount | None = None
-    gas_used: Fraction | None = None
-    tx_count: int | None = None
+    __slots__ = ("entity_id", "date", "fee_paid", "gas_used", "tx_count")
+
+    _defaults = dict.fromkeys(("fee_paid", "gas_used", "tx_count"))
 
     def __post_init__(self):
         if self.fee_paid is None and self.gas_used is None and self.tx_count is None:
@@ -321,13 +389,12 @@ class TransactionRecord:
             raise RowProblem("tx_count", "must be a positive count")
 
 
-@dataclass(frozen=True, slots=True)
-class Portfolio:
+class Portfolio(Value):
     """Dated holdings and transactions of entities on one network."""
 
-    network_id: str
-    holdings: tuple[HoldingRecord, ...] = ()
-    transactions: tuple[TransactionRecord, ...] = ()
+    __slots__ = ("network_id", "holdings", "transactions")
+
+    _defaults = {"holdings": (), "transactions": ()}
 
     def dates(self) -> set[_dt.date]:
         return {r.date for r in self.holdings} | {r.date for r in self.transactions}
@@ -342,8 +409,12 @@ class Portfolio:
         return Portfolio(self.network_id, tuple(holdings), tuple(transactions))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Pool:
+def _check_source(weight_source: str | None) -> None:
+    if weight_source == "":
+        raise ArgumentMismatch("weight_source is empty; None stands for no source")
+
+
+class Pool(Value):
     """What every result drawing on one pool shares: where its energy comes from, the energy, its carbon.
 
     ``base_wh`` is the footprint the pool derives from (a network day's
@@ -351,43 +422,44 @@ class Pool:
     to the pool's ``wh``. ``scope``, ``weight_source`` and ``filled_forward``
     go into each result's audit. ``carbon_per_wh`` is the emission factor
     per watt-hour, None when the day has none. A pool is one object shared
-    by its results, so pools compare (and hash) by identity.
+    by its results, so pools compare (and hash) by identity. A
+    ``weight_source`` is None or a non-empty name.
     """
 
-    scope: tuple[str, ...]
-    base_wh: Fraction
-    factors: tuple[tuple[str, Fraction], ...]
-    wh: Fraction
-    weight_source: str | None
-    filled_forward: bool
-    carbon_per_wh: Fraction | None
+    __slots__ = ("scope", "base_wh", "factors", "wh", "weight_source", "filled_forward", "carbon_per_wh")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __post_init__(self):
+        _check_source(self.weight_source)
 
     def narrowed(self, factors: tuple[tuple[str, Fraction], ...]) -> "Pool":
         """This pool cut down by more named factors."""
         wh = self.wh
         for _, factor in factors:
             wh *= factor
-        return replace(self, factors=self.factors + factors, wh=wh)
+        provenance = (self.scope, self.base_wh, self.factors + factors, wh)
+        return Pool(*provenance, self.weight_source, self.filled_forward, self.carbon_per_wh)
 
 
-@dataclass(frozen=True, slots=True)
-class AuditTrail:
+class AuditTrail(Value):
     """Replayable multiplication chain behind one allocation.
 
     ``base_wh`` is the footprint the pool derives from (the network day's
     energy, or a layer-2 total). ``pool_factors`` are the ordered named
     weights that shrink it to the pool; ``entity_share`` is the entity's
     share of that pool. ``scope`` is the provenance chain, so nested
-    (layer-2, app) allocations state where their base came from.
+    (layer-2, app) allocations state where their base came from. A
+    ``weight_source`` is None or a non-empty name.
     """
 
-    scope: tuple[str, ...]
-    base_wh: Fraction
-    pool_factors: tuple[tuple[str, Fraction], ...]
-    entity_share: Fraction
-    entity_basis: str
-    weight_source: str | None = None
-    filled_forward: bool = False
+    __slots__ = (
+        "scope", "base_wh", "pool_factors", "entity_share", "entity_basis", "weight_source", "filled_forward"
+    )
+
+    _defaults = {"weight_source": None, "filled_forward": False}
+
+    def __post_init__(self):
+        _check_source(self.weight_source)
 
     @property
     def pool_weight(self) -> Fraction:

@@ -11,13 +11,11 @@ energy/tx_count on constant data.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as _dt
 import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
@@ -38,6 +36,7 @@ from .model import (
     Pool,
     Portfolio,
     TransactionRecord,
+    Value,
 )
 from .numeric import DEFAULT_SIG_DIGITS, format_ratio, format_ratio_shifted, format_sig
 
@@ -46,8 +45,7 @@ TEXT_TABLE_SIG_DIGITS = 4
 _DISPLAY_UNITS = ("TWh", "GWh", "MWh", "kWh", "Wh")
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Value):
     """Daily-average energy (and optional carbon) cells for one network.
 
     Transaction cells are None when no day in the range had transactions;
@@ -55,16 +53,11 @@ class ComparisonRow:
     factor and carbon output was requested.
     """
 
-    network_id: str
-    days_covered: int
-    holding_based_holding: Energy
-    transaction_based_tx: Energy | None
-    hybrid_holding: Energy
-    hybrid_tx: Energy | None
-    holding_based_holding_carbon: Carbon | None = None
-    transaction_based_tx_carbon: Carbon | None = None
-    hybrid_holding_carbon: Carbon | None = None
-    hybrid_tx_carbon: Carbon | None = None
+    __slots__ = (
+        "network_id", "days_covered", "holding_based_holding", "transaction_based_tx", "hybrid_holding", "hybrid_tx",
+        "holding_based_holding_carbon", "transaction_based_tx_carbon", "hybrid_holding_carbon", "hybrid_tx_carbon",
+    )
+    _defaults = dict.fromkeys(__slots__[6:])  # the four carbon cells
 
 
 def _select_days(
@@ -134,7 +127,7 @@ _CELLS = tuple(
     )
     for activity, suffix in ((Activity.HOLDING, "holding"), (Activity.TRANSACTION, "tx"))
 )
-_ROW_FIELDS = {field.name for field in dataclasses.fields(ComparisonRow)}
+_ROW_FIELDS = set(ComparisonRow.__slots__)
 _COMPARISON_ENERGY_COLUMNS = tuple(f"{name}_kwh" for _, _, name, _ in _CELLS)
 _COMPARISON_CARBON_COLUMNS = tuple(f"{name}_g" for _, _, name, _ in _CELLS)
 

@@ -114,7 +114,7 @@ texts = hostile | st.text(max_size=6)
     network_id=texts,
     entity_id=texts,
     basis=texts,
-    weight_source=st.none() | texts,
+    weight_source=st.none() | texts.filter(bool),  # a pool's source is None or a name
     filled_forward=st.booleans(),
     with_factor=st.booleans(),
     with_carbon=st.booleans(),
