@@ -69,13 +69,32 @@ def unattributed_remainder(
 ) -> Energy:
     """Transaction-pool energy claimed by no registered app; stays at network level."""
     pool = engine.plan_day(day, weights, Method.HYBRID).transaction.wh
-    claimed = Fraction(0)
     for app in apps:
         _check_app_day(app, day)
-        claimed += app.app_fee_share.value
+    return Energy(pool * (1 - claimed_fee_share(apps)))
+
+
+def claimed_fee_share(apps: list[AppDay] | tuple[AppDay, ...]) -> Fraction:
+    """The fee shares of one day's apps summed; raises ShareOverflow (column ``app_fee_share``) above 1."""
+    claimed = sum((app.app_fee_share.value for app in apps), Fraction(0))
     if claimed > 1:
-        raise ShareOverflow(f"{day.date}: app fee shares sum to {claimed} > 1", "app_fee_share")
-    return Energy(pool * (1 - claimed))
+        raise ShareOverflow(f"{apps[0].date}: app fee shares sum to {claimed} > 1", "app_fee_share")
+    return claimed
+
+
+def token_quantities(app: AppDay, holding: TokenHolding) -> tuple[int, int]:
+    """The holding's share of the app's token supply, as (quantity, total), not reduced.
+
+    Raises NotAToken without a supply, and ShareOverflow (column ``amount``) above it.
+    """
+    supply = app.token_supply
+    if supply is None:
+        raise NotAToken(f"{app.app_id} has no token supply on {app.date}")
+    amount = holding.amount
+    quantity, total = amount.units * supply.scale, amount.scale * supply.units
+    if quantity > total:
+        raise ShareOverflow(f"{holding.entity_id}: amount {amount.value} exceeds token supply {supply.value}", "amount")
+    return quantity, total
 
 
 def _app_plan(
@@ -129,12 +148,7 @@ def _token_result(plan: engine.DayPlan, app: AppDay, holding: TokenHolding) -> A
         raise ArgumentMismatch(f"token holding dated {holding.date} does not match day {plan.day.date}")
     if holding.app_id != app.app_id:
         raise ArgumentMismatch(f"token holding is for app {holding.app_id!r}, not {app.app_id!r}")
-    if app.token_supply is None:
-        raise NotAToken(f"{app.app_id} has no token supply; use transaction-based allocation")
-    amount, supply = holding.amount, app.token_supply
-    quantity, total = amount.units * supply.scale, amount.scale * supply.units
-    if quantity > total:
-        raise ShareOverflow(f"{holding.entity_id}: token amount {amount.value} exceeds supply {supply.value}")
+    quantity, total = token_quantities(app, holding)
     return plan.result(Activity.HOLDING, holding.entity_id, quantity, total, "token")
 
 
@@ -180,14 +194,11 @@ def allocate_app_hybrid(
     The app pool splits by the network's holding/transaction weights: the
     holding slice is allocated by token share, the transaction slice by the
     app-scoped transaction basis. Apps without a token supply fall back to
-    the purely transaction-based route over the full pool.
+    the purely transaction-based route over the full pool; a token holding
+    in one raises ``NotAToken``.
     """
     order = engine.BASIS_ORDER[params.kind]
-    if app.token_supply is None:
-        if holding is not None:
-            raise NotAToken(
-                f"{app.app_id} has no token supply; token holdings cannot be allocated"
-            )
+    if app.token_supply is None and holding is None:
         plan = _app_plan(day, weights, app, Method.TRANSACTION_BASED, scope)
         return tuple(_app_transaction_result(plan, app, tx, order) for tx in txs)
     plan = _app_plan(day, weights, app, Method.HYBRID, scope)

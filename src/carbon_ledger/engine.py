@@ -174,12 +174,23 @@ def transaction_pool(day: NetworkDay, weights: MethodWeights) -> Energy:
     return Energy(plan_day(day, weights, Method.HYBRID).transaction.wh)
 
 
+def holding_quantities(holding: HoldingRecord, supply_numerator: int, supply_denominator: int) -> tuple[int, int]:
+    """The holding's share of its day's effective supply ``n/d``, as (quantity, total), not reduced.
+
+    Raises ShareOverflow (column ``amount``) above the supply. The join passes each day's two integers.
+    """
+    amount = holding.amount
+    quantity, total = amount.units * supply_denominator, amount.scale * supply_numerator
+    if quantity > total:
+        net = f"coin supply net of lost coins {Fraction(supply_numerator, supply_denominator)} on {holding.date}"
+        raise ShareOverflow(f"{holding.entity_id}: amount {amount.value} exceeds {net}", "amount")
+    return quantity, total
+
+
 def _holding_result(plan: DayPlan, holding: HoldingRecord) -> AllocationResult:
     """Entity share of the (lost-coin-adjusted) circulating supply, as a result."""
-    amount, effective = holding.amount, plan.effective_supply
-    quantity, total = amount.units * effective.denominator, amount.scale * effective.numerator
-    if quantity > total:
-        raise ShareOverflow(f"{plan.day.date}: holding {amount.value} exceeds effective supply {effective}")
+    supply = plan.effective_supply
+    quantity, total = holding_quantities(holding, supply.numerator, supply.denominator)
     return plan.result(Activity.HOLDING, holding.entity_id, quantity, total, "holding")
 
 
@@ -229,15 +240,18 @@ def transaction_quantities(
     if count_total == 0:
         raise NoTransactions(f"{tx.date}: transaction record exists but the day reports none")
     for basis in order:
-        if basis == "fee" and tx.fee_paid is not None and fee_total:
+        if basis == "fee" and tx.fee_paid is not None and fee_total is not None:
             units, scale, total = tx.fee_paid.units, tx.fee_paid.scale, fee_total
-        elif basis == "gas" and tx.gas_used is not None and gas_total:
+        elif basis == "gas" and tx.gas_used is not None and gas_total is not None:
             units, scale, total = tx.gas_used.numerator, tx.gas_used.denominator, gas_total
         elif basis == "count" and tx.tx_count is not None:
             units, scale, total = tx.tx_count, 1, count_total
         else:
             continue
-        quantity, share_total = units * total.denominator, scale * total.numerator
+        numerator = total.numerator
+        if not numerator:  # a zero total is no basis
+            continue
+        quantity, share_total = units * total.denominator, scale * numerator
         if quantity > share_total:
             raise ShareOverflow(
                 f"{tx.entity_id}: {basis} quantity {Fraction(units, scale)} exceeds total {total}",

@@ -49,11 +49,11 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from . import engine
-from .apps import AppDay, TokenHolding
+from .apps import AppDay, TokenHolding, claimed_fee_share, token_quantities
+from .engine import BASIS_ORDER, holding_quantities, transaction_quantities
 from .errors import (
-    BasisUnavailable, DatasetInvalid, InvalidValue, NoTransactions, RowProblem, SchemaMismatch, ShareOverflow,
-    ValidationIssue,
+    BasisUnavailable, DatasetInvalid, InvalidValue, NoTransactions, NotAToken, RowProblem, SchemaMismatch,
+    ShareOverflow, ValidationIssue,
 )
 from .layer2 import Layer2Day
 from .model import (
@@ -720,24 +720,39 @@ def parse_l2_json(
     kind, and one that declares another is a conflict. An invalid entry fixes
     nothing. ``L2Bundle.consensus`` holds the declared kinds only.
     """
+    return _parse_l2(text, source, host_consensus, coin_decimals, {})
+
+
+def _parse_l2(text, source, host_consensus, coin_decimals, fixed: dict[str, tuple[Consensus, str, str]]) -> L2Bundle:
+    """``parse_l2_json`` after the files that fixed the kinds in ``fixed`` (L2 id → kind, how, file); adds its own.
+
+    The entry hook is the one place the first-valid-entry rule runs; a declaration against an earlier file's kind
+    is a ``join_invalid`` problem naming that file.
+    """
     declared: dict[str, Consensus] = {}
-    fixed: dict[str, Consensus] = {}  # L2 id → the kind its first valid entry gave it
+    own: set[str] = set()  # the L2 ids this file's entries fixed
 
     def entry(values: dict[str, Any], row: dict[str, Any]) -> Layer2Day:
         l2_id = values["l2_id"]
         kind = row.get("consensus")
+        first = fixed.get(l2_id)
         if kind is not None:
             if not isinstance(kind, str) or kind not in ("pow", "pos"):
                 raise RowProblem("consensus", f"must be 'pow' or 'pos', got {kind!r}")
             kind = Consensus(kind)
-            if fixed.get(l2_id, kind) is not kind:
-                raise RowProblem("consensus", f"conflicting consensus for {l2_id}")
+            if first is not None and first[0] is not kind:
+                if l2_id in own:
+                    raise RowProblem("consensus", f"conflicting consensus for {l2_id}")
+                reason = f"conflicting consensus for {l2_id}, {first[1]} {first[0].value} in {first[2]}"
+                raise RowProblem("consensus", reason, "join_invalid")
         internal = row.get("internal_day")
         if not isinstance(internal, dict):
             raise RowProblem("internal_day", "object required")
-        params = ConsensusParams(fixed.get(l2_id, kind or host_consensus.kind))
+        params = ConsensusParams(first[0] if first else kind or host_consensus.kind)
         record = Layer2Day(internal_day=day_from_fields(internal, params, coin_decimals), **values)
-        fixed[l2_id] = params.kind
+        if first is None:
+            fixed[l2_id] = params.kind, "declared" if kind is not None else "the host's", source
+            own.add(l2_id)
         if kind is not None:
             declared[l2_id] = kind
         return record
@@ -763,6 +778,7 @@ def validate_files(
     """
     issues: list[ValidationIssue] = []
     days, portfolios, apps, l2s = [], [], [], []  # each kind's files, as (name, loaded)
+    l2_kinds = {}  # L2 id → (its kind, how its first valid entry gave it, that entry's file), in argument order
     for path in map(Path, paths):
         try:
             if path.suffix == ".csv":
@@ -775,7 +791,7 @@ def validate_files(
             elif "apps" in document or "token_holdings" in document:
                 apps.append((name, load_apps_json(decoded, coin_decimals)))
             elif "l2s" in document:
-                l2s.append((name, load_l2_json(decoded, consensus, coin_decimals)))
+                l2s.append((name, _parse_l2(document, name, consensus, coin_decimals, l2_kinds)))
             else:
                 raise SchemaMismatch(name, "unrecognized document kind")
         except SchemaMismatch as exc:
@@ -786,18 +802,6 @@ def validate_files(
     merged_days = _merge(_DAY, "", [(name, dataset.days) for name, dataset in days], issues)
     merged_apps = _merge(_APP, ":apps", [(name, bundle.apps) for name, bundle in apps], issues)
     merged_l2s = _merge(_L2, ":l2s", [(name, bundle.entries) for name, bundle in l2s], issues)
-    # a layer-2's kind is fixed by its first valid entry in argument order; a later file may not declare another
-    fixed = {}  # L2 id → (its kind, how that entry gave it, the entry's file)
-    for name, bundle in l2s:
-        for l2_id, kind in bundle.consensus.items():
-            first, how, first_file = fixed.get(l2_id, (kind, "", name))
-            if kind is not first:
-                reason = f"conflicting consensus for {l2_id}, {how} {first.value} in {first_file}"
-                issues.append(ValidationIssue(name + ":l2s", "join_invalid", reason, column="consensus"))
-        for entry in bundle.entries:
-            if entry.l2_id not in fixed:
-                declared = bundle.consensus.get(entry.l2_id)
-                fixed[entry.l2_id] = (declared or consensus.kind, "declared" if declared else "the host's", name)
     if days:
         dataset = Dataset(network_id, consensus, tuple(sorted(merged_days, key=_DAY.sort_key)))
         token_holdings = tuple(holding for _, bundle in apps for holding in bundle.token_holdings)
@@ -823,64 +827,60 @@ def join_issues(
     def no_day(source: str, who: str, date: _dt.date) -> None:
         join_issue(source, f"{who}: no network day for {date}", "date")
 
-    share_by_date: dict[_dt.date, Fraction] = {}
+    apps_by_date: dict[_dt.date, list[AppDay]] = {}
     app_map: dict[tuple[str, _dt.date], AppDay] = {}
     for app in dataset.apps:
         if app.date not in day_map:
             no_day("apps", app.app_id, app.date)
-        share_by_date[app.date] = share_by_date.get(app.date, Fraction(0)) + app.app_fee_share.value
+        apps_by_date.setdefault(app.date, []).append(app)
         app_map[(app.app_id, app.date)] = app
-    for date, total in sorted(share_by_date.items()):
-        if total > 1:
-            join_issue("apps", f"{date}: app fee shares sum to {total} > 1", "app_fee_share")
+    for _, on_date in sorted(apps_by_date.items()):
+        try:
+            claimed_fee_share(on_date)
+        except ShareOverflow as exc:
+            join_issue("apps", str(exc), exc.column)
 
     for l2 in dataset.l2s:
         if l2.date not in day_map:
             no_day("l2s", l2.l2_id, l2.date)
 
-    # Amount bounds compare a/b > c/d as a*d > c*b on the integers, not by a
-    # Fraction comparison per record; a reason prints the reduced values.
+    # each bound is the allocators' own (``apps``, ``engine``), so a reason is their exception's text
     for holding in token_holdings:
-        who, amount = holding.entity_id, holding.amount
-        app = app_map.get((holding.app_id, holding.date))
-        if app is None:
-            reason = f"{who}: no app day for {holding.app_id} on {holding.date}"
+        try:
+            token_quantities(app_map[(holding.app_id, holding.date)], holding)
+        except KeyError:
+            reason = f"{holding.entity_id}: no app day for {holding.app_id} on {holding.date}"
             join_issue("token_holdings", reason, "app_id")
-        elif app.token_supply is None:
-            reason = f"{holding.app_id} has no token supply on {holding.date}"
-            join_issue("token_holdings", reason, "amount")
-        elif amount.units * (supply := app.token_supply).scale > supply.units * amount.scale:
-            reason = f"{who}: amount {amount.value} exceeds token supply {supply.value}"
-            join_issue("token_holdings", reason, "amount")
+        except (NotAToken, ShareOverflow) as exc:
+            join_issue("token_holdings", str(exc), "amount")
 
     if portfolio is not None:
         if portfolio.network_id != dataset.network_id:
             reason = f"portfolio is for {portfolio.network_id!r}, dataset is {dataset.network_id!r}"
             join_issue("portfolio", reason, "network_id")
-        # the engine's share denominators, once per day: the effective supply, as
-        # (numerator, denominator, value), bounds a holding; the fee total, a fee
-        effective_supply, fee_total = {}, {}
+        # the engine's share denominators, once per day: the effective supply's two integers and the fee,
+        # gas and count totals
+        supplies, totals = {}, {}
         for date, day in day_map.items():
             supply = day.effective_supply()
-            effective_supply[date] = supply.numerator, supply.denominator, supply
-            fee_total[date] = day.tx_fees_total.value if day.tx_fees_total is not None else None
+            supplies[date] = supply.numerator, supply.denominator
+            fee_total = day.tx_fees_total.value if day.tx_fees_total is not None else None
+            totals[date] = fee_total, day.gas_total, day.tx_count
         for holding in portfolio.holdings:
-            bound = effective_supply.get(holding.date)
-            if bound is None:
-                no_day("portfolio.holdings", holding.entity_id, holding.date)
-            elif (amount := holding.amount).units * bound[1] > bound[0] * amount.scale:
-                net = f"coin supply net of lost coins {bound[2]} on {holding.date}"
-                reason = f"{holding.entity_id}: amount {amount.value} exceeds {net}"
-                join_issue("portfolio.holdings", reason, "amount")
-        order = engine.BASIS_ORDER[dataset.consensus.kind]
-        for tx in portfolio.transactions:
-            day = day_map.get(tx.date)
-            if day is None:
-                no_day("portfolio.transactions", tx.entity_id, tx.date)
-                continue
-            # the engine's basis choice and bound, without the result
             try:
-                engine.transaction_quantities(tx, order, fee_total[tx.date], day.gas_total, day.tx_count)
+                numerator, denominator = supplies[holding.date]
+                holding_quantities(holding, numerator, denominator)
+            except KeyError:
+                no_day("portfolio.holdings", holding.entity_id, holding.date)
+            except ShareOverflow as exc:
+                join_issue("portfolio.holdings", str(exc), exc.column)
+        order = BASIS_ORDER[dataset.consensus.kind]
+        for tx in portfolio.transactions:
+            try:
+                fee_total, gas_total, count_total = totals[tx.date]
+                transaction_quantities(tx, order, fee_total, gas_total, count_total)
+            except KeyError:
+                no_day("portfolio.transactions", tx.entity_id, tx.date)
             except ShareOverflow as exc:
                 join_issue("portfolio.transactions", str(exc), exc.column)
             except (NoTransactions, BasisUnavailable) as exc:

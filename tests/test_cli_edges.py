@@ -93,7 +93,7 @@ def test_a_layer2_consensus_two_files_declare_differently(runner, tmp_path):
     first, second = _write(tmp_path / "a.json", l2s=entries[:1]), _write(tmp_path / "b.json", l2s=entries[1:])
     split = _validate(runner, days, first, second)
     assert (split.exit_code, split.output) == (
-        1, "b.json:l2s column 'consensus': conflicting consensus for r, declared pos in a.json [join_invalid]\n"
+        1, "b.json:l2s row 1 column 'consensus': conflicting consensus for r, declared pos in a.json [join_invalid]\n"
     )
     alike = _validate(runner, days, first, _write(tmp_path / "c.json", l2s=[dict(entries[1], consensus="pos")]))
     assert (alike.exit_code, alike.output) == (0, "ok\n")

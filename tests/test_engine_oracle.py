@@ -219,7 +219,8 @@ def oracle(days, params, portfolio, method):
             supply = day.coin_supply.value * (1 - day.lost_coin_fraction.value)
             amount = holding.amount.value
             if amount > supply:
-                raise ShareOverflow(f"{day.date}: holding {amount} exceeds effective supply {supply}")
+                net = f"coin supply net of lost coins {supply} on {day.date}"
+                raise ShareOverflow(f"{holding.entity_id}: amount {amount} exceeds {net}", "amount")
             results.append(
                 _oracle_result(
                     day, params.kind, method, scope, Activity.HOLDING, holding.entity_id, amount / supply, "holding"

@@ -1,9 +1,10 @@
 """A layer-2's consensus kind across files: the first valid entry, in argument order, fixes it.
 
 That entry's own declaration fixes it, or else the host's kind, as within one
-file. A later file that declares another kind is a ``join_invalid`` issue
-naming the file that fixed it; a later declaration of the fixed kind is no
-issue.
+file, and a later file's undeclared entries are validated under that kind. A
+later file's entry that declares another kind is that row's ``join_invalid``
+issue naming the file that fixed it; a later declaration of the fixed kind is
+no issue.
 """
 
 import json
@@ -32,7 +33,7 @@ def issues(tmp_path, **files):
 
 def test_a_later_file_may_not_declare_another_kind_than_the_hosts_it_took(tmp_path):
     assert issues(tmp_path, a=[UNDECLARED], b=[DECLARED_POS]) == [
-        "b.json:l2s column 'consensus': conflicting consensus for zk, the host's pow in a.json [join_invalid]"
+        "b.json:l2s row 1 column 'consensus': conflicting consensus for zk, the host's pow in a.json [join_invalid]"
     ]
 
 
@@ -49,5 +50,19 @@ def test_a_later_file_may_declare_the_kind_the_host_gave(tmp_path):
 def test_a_declaration_in_an_earlier_file_fixes_the_kind(tmp_path):
     later = entry("zk", "2021-01-03", pow_internal("2021-01-03"), "pow")
     assert issues(tmp_path, b=[DECLARED_POS], a=[UNDECLARED], c=[later]) == [
-        "c.json:l2s column 'consensus': conflicting consensus for zk, declared pos in b.json [join_invalid]"
+        "a.json:l2s row 1 column 'pos_tx_share': required for proof-of-stake days [row_invalid]",
+        "c.json:l2s row 1 column 'consensus': conflicting consensus for zk, declared pos in b.json [join_invalid]",
+    ]
+
+
+def test_a_later_files_undeclared_entry_takes_the_kind_an_earlier_file_declared(tmp_path):
+    undeclared_pos = entry("zk", "2021-01-03", pos_internal("2021-01-03"))
+    assert issues(tmp_path, a=[DECLARED_POS], b=[undeclared_pos]) == []
+    assert issues(tmp_path, one=[DECLARED_POS, undeclared_pos]) == []
+
+
+def test_an_invalid_entry_in_an_earlier_file_fixes_nothing(tmp_path):
+    invalid = entry("zk", "2021-01-01", None, "pow")
+    assert issues(tmp_path, a=[invalid], b=[DECLARED_POS]) == [
+        "a.json:l2s row 1 column 'internal_day': object required [row_invalid]"
     ]
