@@ -90,76 +90,7 @@ from .remote import RemoteDayClient
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Activity",
-    "ActivitySummary",
-    "AllocationResult",
-    "AppBundle",
-    "AppDay",
-    "ArgumentMismatch",
-    "AuditTrail",
-    "BasisUnavailable",
-    "Carbon",
-    "CarbonLedgerError",
-    "CoinAmount",
-    "Consensus",
-    "ConsensusParams",
-    "Dataset",
-    "DatasetInvalid",
-    "Energy",
-    "HoldingRecord",
-    "IngestionError",
-    "InvalidValue",
-    "L2Bundle",
-    "Layer2Day",
-    "MalformedDay",
-    "MalformedResponse",
-    "Method",
-    "MethodWeights",
-    "MissingColumn",
-    "MissingDay",
-    "NetworkDay",
-    "NoTransactions",
-    "NotAToken",
-    "PeriodSummary",
-    "Portfolio",
-    "PortfolioAllocation",
-    "RangeUnavailable",
-    "RemoteDayClient",
-    "RowProblem",
-    "SchemaMismatch",
-    "Share",
-    "ShareOverflow",
-    "TokenHolding",
-    "TransactionRecord",
-    "Unreachable",
-    "ValidationIssue",
-    "allocate_app_hybrid",
-    "allocate_app_transaction",
-    "allocate_holding",
-    "allocate_portfolio",
-    "allocate_token_holding",
-    "allocate_transaction",
-    "allocate_within_l2",
-    "app_pool",
-    "carbonize",
-    "convert_energy",
-    "fee_share",
-    "fill_forward",
-    "holding_pool",
-    "join_issues",
-    "l2_inherited",
-    "l2_total_footprint",
-    "load_apps_json",
-    "load_l2_json",
-    "load_network_csv",
-    "load_portfolio_json",
-    "method_weights",
-    "serialize_apps",
-    "serialize_l2",
-    "serialize_network_csv",
-    "serialize_portfolio",
-    "synthetic_day",
-    "transaction_pool",
-    "unattributed_remainder",
-]
+# Every name imported above, but not the submodules those imports bind (``type(engine)`` is the module type).
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and type(value) is not type(engine)
+)

@@ -54,9 +54,16 @@ class TokenHolding(Value):
     __slots__ = ("entity_id", "app_id", "date", "amount")
 
 
-def _check_app_day(app: AppDay, day: NetworkDay) -> None:
+def check_app_day(app: AppDay, day: NetworkDay) -> None:
+    """The app day's rules against its host day: the same date, and ``app_tx_count`` at most the day's ``tx_count``.
+
+    Raises ArgumentMismatch for another day's app, and ShareOverflow (column ``app_tx_count``) above the count.
+    """
     if app.date != day.date:
         raise ArgumentMismatch(f"app day {app.date} does not match network day {day.date}")
+    if app.app_tx_count > day.tx_count:
+        reason = f"app_tx_count {app.app_tx_count} exceeds the day's tx_count {day.tx_count}"
+        raise ShareOverflow(f"{app.app_id} on {app.date}: {reason}", "app_tx_count")
 
 
 def app_pool(day: NetworkDay, weights: engine.MethodWeights, app: AppDay) -> Energy:
@@ -70,7 +77,7 @@ def unattributed_remainder(
     """Transaction-pool energy claimed by no registered app; stays at network level."""
     pool = engine.plan_day(day, weights, Method.HYBRID).transaction.wh
     for app in apps:
-        _check_app_day(app, day)
+        check_app_day(app, day)
     return Energy(pool * (1 - claimed_fee_share(apps)))
 
 
@@ -112,7 +119,7 @@ def _app_plan(
     transaction weights to its pools.
     """
     plan = engine.plan_day(day, weights, Method.HYBRID, scope + (f"app:{app.app_id}",))
-    _check_app_day(app, day)
+    check_app_day(app, day)
     hybrid = method is Method.HYBRID
     holding_factors = (("app_holding_weight", weights.holding_weight.value),) if hybrid else ()
     transaction_factors = (("app_transaction_weight", weights.transaction_weight.value),) if hybrid else ()

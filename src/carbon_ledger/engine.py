@@ -73,28 +73,30 @@ class MethodWeights(Value):
             raise ArgumentMismatch("holding and transaction weights must sum to 1 exactly")
 
 
+def _raise_day_problem(day: NetworkDay, kind: Consensus) -> None:
+    """Raise the day's first ``consensus_problems`` entry in ``validate``'s words, ``"<date>: <column>: <reason>"``.
+
+    The error is MissingColumn when that column is absent and MalformedDay otherwise.
+    """
+    for column, reason in day.consensus_problems(kind):
+        error = MissingColumn if getattr(day, column) is None else MalformedDay
+        raise error(f"{day.date}: {column}: {reason}")
+
+
 def fee_share(day: NetworkDay) -> Share:
     """Transaction fees as a share of total miner revenue on a PoW day."""
-    if day.block_reward is None or day.tx_fees_total is None:
-        raise MissingColumn(
-            f"{day.date}: block_reward and tx_fees_total are required to compute a fee share"
-        )
-    revenue = day.block_reward.value + day.tx_fees_total.value
-    if revenue == 0:
-        raise MalformedDay(f"{day.date}: zero total miner revenue, fee share undefined")
-    return Share(day.tx_fees_total.value / revenue)
+    _raise_day_problem(day, Consensus.POW)
+    fees = day.tx_fees_total.value
+    return Share(fees / (day.block_reward.value + fees))
 
 
 def method_weights(day: NetworkDay, params: ConsensusParams) -> MethodWeights:
     """Hybrid weights for one day under the given consensus mechanism."""
     if params.kind is Consensus.POW:
-        tx_weight = fee_share(day)
-        source = "fee_share"
+        tx_weight, source = fee_share(day), "fee_share"
     else:
-        if day.pos_tx_share is None:
-            raise MissingColumn(f"{day.date}: pos_tx_share is required for proof-of-stake days")
-        tx_weight = day.pos_tx_share
-        source = "pos_tx_share"
+        _raise_day_problem(day, params.kind)
+        tx_weight, source = day.pos_tx_share, "pos_tx_share"
     return MethodWeights(
         date=day.date,
         holding_weight=Share(1 - tx_weight.value),

@@ -10,7 +10,8 @@ class CarbonLedgerError(Exception):
 
 
 class MalformedDay(CarbonLedgerError):
-    """A network day cannot support the requested weighting (e.g. zero miner revenue)."""
+    """A network day cannot support the requested weighting: zero miner revenue, or a positive
+    ``pos_tx_share`` on a day with no transactions."""
 
 
 class MissingColumn(CarbonLedgerError):

@@ -49,7 +49,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .apps import AppDay, TokenHolding, claimed_fee_share, token_quantities
+from .apps import AppDay, TokenHolding, check_app_day, claimed_fee_share, token_quantities
 from .engine import BASIS_ORDER, holding_quantities, transaction_quantities
 from .errors import (
     BasisUnavailable, DatasetInvalid, InvalidValue, NoTransactions, NotAToken, RowProblem, SchemaMismatch,
@@ -827,11 +827,16 @@ def join_issues(
     def no_day(source: str, who: str, date: _dt.date) -> None:
         join_issue(source, f"{who}: no network day for {date}", "date")
 
+    # each bound is the allocators' own (``apps``, ``engine``), so a reason is their exception's text
     apps_by_date: dict[_dt.date, list[AppDay]] = {}
     app_map: dict[tuple[str, _dt.date], AppDay] = {}
     for app in dataset.apps:
-        if app.date not in day_map:
+        try:
+            check_app_day(app, day_map[app.date])
+        except KeyError:
             no_day("apps", app.app_id, app.date)
+        except ShareOverflow as exc:
+            join_issue("apps", str(exc), exc.column)
         apps_by_date.setdefault(app.date, []).append(app)
         app_map[(app.app_id, app.date)] = app
     for _, on_date in sorted(apps_by_date.items()):
@@ -844,7 +849,6 @@ def join_issues(
         if l2.date not in day_map:
             no_day("l2s", l2.l2_id, l2.date)
 
-    # each bound is the allocators' own (``apps``, ``engine``), so a reason is their exception's text
     for holding in token_holdings:
         try:
             token_quantities(app_map[(holding.app_id, holding.date)], holding)

@@ -296,7 +296,8 @@ class NetworkDay:
 
     ``block_reward``/``tx_fees_total`` drive PoW weighting; ``pos_tx_share``
     drives PoS weighting. Which of them is mandatory depends on consensus and
-    is checked by ``consensus_problems`` (ingestion reports these per row).
+    is checked by ``consensus_problems``, the one statement of these day rules:
+    ingestion reports a row's first problem, and the hybrid weights raise it.
     ``filled_forward`` marks days synthesized by the opt-in gap fill; it is
     metadata, never read by the arithmetic.
     """
@@ -333,27 +334,17 @@ class NetworkDay:
 
     def consensus_problems(self, kind: Consensus) -> list[tuple[str, str]]:
         """Per-consensus column problems as (column, reason) pairs; empty if clean."""
-        problems: list[tuple[str, str]] = []
         if kind is Consensus.POW:
-            if self.block_reward is None:
-                problems.append(("block_reward", "required for proof-of-work days"))
-            if self.tx_fees_total is None:
-                problems.append(("tx_fees_total", "required for proof-of-work days"))
-            if (
-                self.block_reward is not None
-                and self.tx_fees_total is not None
-                and not self.block_reward
-                and not self.tx_fees_total
-            ):
-                problems.append(
-                    ("block_reward", "zero total miner revenue; weighting undefined")
-                )
-        else:
-            if self.pos_tx_share is None:
-                problems.append(("pos_tx_share", "required for proof-of-stake days"))
-            elif self.tx_count == 0 and self.pos_tx_share.value != 0:
-                problems.append(("pos_tx_share", "must be 0 on a day with no transactions"))
-        return problems
+            required = "required for proof-of-work days"
+            problems = [(c, required) for c in ("block_reward", "tx_fees_total") if getattr(self, c) is None]
+            if not problems and not self.block_reward and not self.tx_fees_total:
+                problems.append(("block_reward", "zero total miner revenue; weighting undefined"))
+            return problems
+        if self.pos_tx_share is None:
+            return [("pos_tx_share", "required for proof-of-stake days")]
+        if self.tx_count == 0 and self.pos_tx_share.value != 0:
+            return [("pos_tx_share", "must be 0 on a day with no transactions")]
+        return []
 
     def effective_supply(self) -> Fraction:
         """Circulating supply net of the lost-coin adjustment."""
