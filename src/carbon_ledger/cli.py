@@ -7,6 +7,8 @@ deterministic: identical inputs and flags produce byte-identical bytes.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import dataclasses
 import datetime as _dt
 import functools
@@ -321,5 +323,24 @@ def series(load, start, end, days, network, consensus, coin_decimals, out, fmt, 
         _emit((json.dumps(report.series_to_json(rows, sig_digits), indent=2) + "\n",), out)
 
 
+def script() -> None:
+    """``main()`` for the ``carbon-ledger`` script and ``python -m``: an int exit code skips the interpreter's teardown.
+
+    Before ``os._exit``, the ``atexit`` callbacks run and stdout and stderr are flushed. A failed flush, or a trace,
+    profile or ``sys.monitoring`` hook (coverage, ``cProfile``, ``pdb``), takes the normal exit.
+    """
+    try:
+        main()
+    except SystemExit as exit:
+        tools = map(sys.monitoring.get_tool, range(6)) if hasattr(sys, "monitoring") else ()  # 3.12+: cProfile's hook
+        if type(exit.code) is int and not (sys.gettrace() or sys.getprofile() or any(tools)):
+            atexit._run_exitfuncs()
+            with contextlib.suppress(Exception):  # a failed flush takes the normal exit
+                sys.stdout.flush()
+                sys.stderr.flush()
+                os._exit(exit.code)
+        raise
+
+
 if __name__ == "__main__":
-    main()
+    script()

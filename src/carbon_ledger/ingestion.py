@@ -13,18 +13,17 @@ round-trips are byte-identical by construction. Parsing is exact (no float
 round-trip anywhere) and validation reports every invalid row's first
 problem, rather than stopping at the first bad row.
 
-Each spec's section loop is generated as straight-line source on its first
-use, once, one local per column, as ``dataclasses`` builds ``__init__`` (an
-import compiles none, and ``allocate`` only the days, holding and transaction
-loops): it reads a JSON array with no call per row, builds a clean cell (a
-plain non-negative decimal, a ``YYYY-MM-DD`` date, a non-empty id, a
-non-negative int count) inline and hands every other cell to its column's
-parser, so every row problem still comes from one place; the spec's row
-reader is that loop run on one row. It is the only row loop: a days CSV's
-lines are read by it as dicts, and a record that needs more than its columns
-(a network day's consensus rule, a layer-2 entry's internal day) is made by
-the ``finish`` hook the loop calls on each row; a keyed record's key counts
-as seen only once that record is built.
+Each spec's section loop is generated as straight-line source on its first use, once,
+one local per column, as ``dataclasses`` builds ``__init__`` (an import compiles none,
+and ``allocate`` only the days, holding and transaction loops): it reads a JSON array
+with no call per row, builds a clean cell (a plain non-negative decimal, told with no
+regex, a ``YYYY-MM-DD`` date, a non-empty id, a non-negative int count) inline, a coin
+amount with no Python call, and hands every other cell to its column's parser, so every
+row problem still comes from one place; the spec's row reader is that loop run on one
+row. It is the only row loop: a days CSV's lines are read by it as dicts, and a record
+that needs more than its columns (a network day's consensus rule, a layer-2 entry's
+internal day) is made by the ``finish`` hook the loop calls on each row; a keyed
+record's key counts as seen only once that record is built.
 
 Documents are decoded and their records built inside ``bulk()``, with the
 cyclic garbage collector paused: those objects hold no cycles, and each
@@ -45,7 +44,8 @@ import json
 import re
 from contextlib import contextmanager
 from fractions import Fraction
-from operator import attrgetter
+from itertools import accumulate, repeat
+from operator import attrgetter, mul
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -68,10 +68,12 @@ from .model import (
     TransactionRecord,
     Value,
 )
-from .numeric import _DECIMAL_TOKEN, decimal_str, split_decimal
+from .numeric import decimal_str, split_decimal
 
 SCHEMA_MAJOR = 1
 DEFAULT_COIN_DECIMALS = 18
+# 10**places for each fraction length a clean decimal token can have (``_decimal_cell``): read, not computed, per cell
+_TENS = tuple(accumulate(repeat(10, 640), mul, initial=1))
 
 
 class Dataset(Value):
@@ -163,9 +165,7 @@ def _token(value: Any, column: str) -> str | None:
 
 def _decimal(value: Any, column: str, coin_decimals: int | None = None) -> Fraction | None:
     """A non-negative decimal; with ``coin_decimals``, no finer than the smallest coin unit."""
-    if isinstance(value, str) and value:
-        token = value
-    elif (token := _token(value, column)) is None:
+    if (token := _token(value, column)) is None:
         return None
     try:
         parsed, places = split_decimal(token)
@@ -202,8 +202,7 @@ def _is_digits(token: str) -> bool:
 
 
 def _count(value: Any, column: str, coin_decimals: int) -> int | None:
-    token = _token(value, column)
-    if token is None:
+    if (token := _token(value, column)) is None:
         return None
     if not _is_digits(token):
         raise RowProblem(column, f"not a non-negative integer: {token!r}")
@@ -214,11 +213,9 @@ def _count(value: Any, column: str, coin_decimals: int) -> int | None:
 
 
 def _date(value: Any, column: str, coin_decimals: int) -> _dt.date | None:
-    token = _token(value, column)
-    if token is None:
+    if (token := _token(value, column)) is None:
         return None
-    date = _iso_date(token)
-    if date is None:
+    if (date := _iso_date(token)) is None:
         raise RowProblem(column, f"not an ISO-8601 date: {token!r}")
     return date
 
@@ -233,30 +230,29 @@ def _id(value: Any, column: str, coin_decimals: int) -> str:
     return value
 
 
-# Source for the generated readers (``_reader``), in terms of the cell ``v``: a
-# decimal token the parsers take as it is (plain, not negative, and short
-# enough that int() of its digits never meets the interpreter's digit limit,
-# which cannot be set below 640); a coin token also within ``coin_decimals``
-# fractional digits; such a token's digits and ``10**places``, the two
-# integers a coin amount holds unreduced; and its exact value.
-_CLEAN_DECIMAL = 'v.__class__ is str and len(v) <= 640 and (m := _match(v)) and m[1] != "-"'
-_CLEAN_COIN = _CLEAN_DECIMAL + ' and len(m[3] or "") <= coin_decimals'
-_UNITS = 'int(m[2] + (f := m[3] or "")), 10 ** len(f)'
-_QUOTIENT = f"Fraction({_UNITS})"
+def _inline(value: str, clean: str) -> str:
+    """Source of a cell: ``value`` (a statement) when ``clean`` holds, None when absent, else the parser's."""
+    return f"if {clean}:\n    {value}\nelif v is None:\n    {{x}} = None\nelse:\n    {{x}} = {{parse}}"
 
 
-def _inline(value: str, clean: str = _CLEAN_DECIMAL) -> str:
-    """Source of a cell's value: None when absent, ``value`` when ``clean`` holds, else the parser's."""
-    return f"None if v is None else {value} if {clean} else {{parse}}"
+def _decimal_cell(value: str, clean: str = "") -> str:
+    """``_inline`` for a decimal kind; ``clean`` adds to the test of a token the parsers take as it is.
+
+    That is ASCII: an optional ``+`` and digits (``w``), then an optional point and digits (``f``), in at most 640
+    characters, within any digit limit int() can have. ``value`` reads ``w``, ``f`` and the exact value ``{q}``.
+    """
+    token = '((w := (p := v.partition("."))[0]).isdigit() or w[:1] == "+" and w[1:].isdigit())'
+    test = f'v.__class__ is str and len(v) <= 640 and v.isascii() and {token} and ((f := p[2]).isdigit() or not p[1])'
+    return _inline(value.replace("{q}", "Fraction(int(w + f), _TENS[len(f)])"), test + clean)
 
 
 class _Kind(NamedTuple):
     """A cell kind: its parser and renderer, and the source a generated reader inlines for a cell.
 
-    A renderer gives the JSON cell; a CSV cell is its str(). ``source`` is an
-    expression on the cell ``v`` that builds an absent or clean cell's value
-    itself, exactly as the parser would, and calls the parser (``{parse}``)
-    for every other cell, so every RowProblem comes from the parsers.
+    A renderer gives the JSON cell; a CSV cell is its str(). ``source`` is statements on the
+    cell ``v`` that set the column's local ``{x}``: an absent or clean cell's value is built
+    there as the parser would build it (a coin amount from its two integers, calling no Python
+    code), and every other cell is the parser's (``{parse}``), so every RowProblem comes from it.
     """
 
     parse: Callable
@@ -264,21 +260,17 @@ class _Kind(NamedTuple):
     source: str
 
 
-_DATE = _Kind(_date, _dt.date.isoformat, _inline("_iso_date(v) or {parse}", "v.__class__ is str"))
-_ID = _Kind(_id, str, "v if v.__class__ is str and v and v.isascii() else {parse}")
-_DECIMAL = _Kind(
-    lambda value, column, coin_decimals: _decimal(value, column), decimal_str, _inline(_QUOTIENT)
-)
-_ENERGY = _Kind(_energy, lambda energy: decimal_str(energy.wh), _inline(f"Energy({_QUOTIENT})"))
-_COIN = _Kind(
-    _coin, lambda amount: decimal_str(amount.value), _inline(f"_coin_units({_UNITS})", _CLEAN_COIN)
-)
-_SHARE = _Kind(
-    _share,
-    lambda share: decimal_str(share.value),
-    _inline(f"(Share(q) if (q := {_QUOTIENT}).numerator <= q.denominator else {{parse}})"),
-)
-_COUNT = _Kind(_count, int, _inline("v", "v.__class__ is int and v >= 0"))
+_DATE = _Kind(_date, _dt.date.isoformat, _inline("{x} = _iso_date(v) or {parse}", "v.__class__ is str"))
+_ID = _Kind(_id, str, "{x} = v if v.__class__ is str and v and v.isascii() else {parse}")
+_DECIMAL = _Kind(lambda value, column, coin_decimals: _decimal(value, column), decimal_str, _decimal_cell("{x} = {q}"))
+_ENERGY = _Kind(_energy, lambda energy: decimal_str(energy.wh), _decimal_cell("{x} = Energy({q})"))
+_COIN = _Kind(_coin, lambda amount: decimal_str(amount.value), _decimal_cell(
+    "{x} = _new(CoinAmount); _units({x}, int(w + f)); _scale({x}, _TENS[n])", " and (n := len(f)) <= coin_decimals"
+))
+_SHARE = _Kind(_share, lambda share: decimal_str(share.value), _decimal_cell(
+    "{x} = Share(q) if (q := {q}).numerator <= q.denominator else {parse}"
+))
+_COUNT = _Kind(_count, int, _inline("{x} = v", "v.__class__ is int and v >= 0"))
 
 
 class _Column(NamedTuple):
@@ -362,8 +354,8 @@ def _reader(spec: _Spec) -> Callable:
     """
     names = {
         "RowProblem": RowProblem, "ValidationIssue": ValidationIssue, "Fraction": Fraction, "Energy": Energy,
-        "_coin_units": CoinAmount.of_units, "Share": Share, "_match": _DECIMAL_TOKEN.fullmatch,
-        "_iso_date": _iso_date, "_build": spec.build, "_new": object.__new__, "_record": spec.record,
+        "_units": CoinAmount.units.__set__, "_scale": CoinAmount.scale.__set__, "Share": Share, "_new": object.__new__,
+        "CoinAmount": CoinAmount, "_TENS": _TENS, "_iso_date": _iso_date, "_build": spec.build, "_record": spec.record,
     }
     body = ["if not isinstance(row, dict):", f"    raise RowProblem(None, {spec.noun + ' must be an object'!r})"]
     body.append("get = row.get")
@@ -374,7 +366,7 @@ def _reader(spec: _Spec) -> Callable:
             reason = f"{f'duplicate {spec.duplicate} '!r} + ' '.join(map(str, ({key})))"
             body += [f"if seen and ({key}) in seen:", f"    raise RowProblem('date', {reason}, 'duplicate_date')"]
         names[f"_parse{index}"] = kind.parse
-        body += [f"v = get({name!r})", f"{x} = {kind.source.replace('{parse}', parse)}"]
+        body += [f"v = get({name!r})", *kind.source.replace("{x}", x).replace("{parse}", parse).split("\n")]
         if required:
             body += [f"if {x} is None:", f"    raise RowProblem({name!r}, 'value required')"]
         elif default is not None:

@@ -224,40 +224,41 @@ class Share(_Ordered):
 
 def _cross(a: "CoinAmount", b: "CoinAmount") -> tuple[int, int]:
     """Two coin amounts' units over one denominator."""
-    return a._units * b._scale, b._units * a._scale
+    return a.units * b.scale, b.units * a.scale
 
 
 class CoinAmount:
     """Non-negative coin quantity in the network's native unit.
 
-    Held as two integers, ``units / scale``, not reduced (``of_units``): a
-    coin cell with ``p`` fractional digits is its digits over ``10**p``.
-    ``value`` is the reduced ``Fraction``, built when read. Equality,
-    ordering and hashing are by value; the attributes are read-only, and
-    only zero is falsy.
+    Held as two integers, ``units / scale``, not reduced (``of_units``): a coin cell
+    with ``p`` fractional digits is its digits over ``10**p``. Both are read-only
+    slots, read with no Python call. ``value`` is the reduced ``Fraction``, built
+    when read. Equality, ordering and hashing are by value; only zero is falsy.
     """
 
-    __slots__ = ("_units", "_scale")
+    __slots__ = ("units", "scale")
+    __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
 
-    def __init__(self, value: Numeric):
+    def __new__(cls, value: Numeric):
         value = _as_fraction(value)
         if value.numerator < 0:
             raise InvalidValue(f"coin amount must be >= 0, got {value}")
-        self._units, self._scale = value.numerator, value.denominator
+        return cls.of_units(value.numerator, value.denominator)
 
     @classmethod
     def of_units(cls, units: int, scale: int) -> "CoinAmount":
         """``units / scale`` as given: integers with ``units >= 0`` and ``scale > 0``, not checked."""
         amount = object.__new__(cls)
-        amount._units, amount._scale = units, scale
+        object.__setattr__(amount, "units", units)
+        object.__setattr__(amount, "scale", scale)
         return amount
 
-    units = property(attrgetter("_units"), doc="The amount's numerator, not reduced.")
-    scale = property(attrgetter("_scale"), doc="The amount's denominator, not reduced.")
+    def __reduce__(self):
+        return CoinAmount.of_units, (self.units, self.scale)
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self._units, self._scale)
+        return Fraction(self.units, self.scale)
 
     __eq__ = _compared(operator.eq, _cross)
     __lt__ = _compared(operator.lt, _cross)
@@ -269,7 +270,7 @@ class CoinAmount:
         return hash(self.value)
 
     def __bool__(self):
-        return self._units != 0
+        return self.units != 0
 
     def __repr__(self):
         return f"CoinAmount(value={self.value!r})"

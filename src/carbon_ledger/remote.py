@@ -19,6 +19,7 @@ import json
 import os
 import re
 import urllib.parse
+from itertools import repeat, takewhile
 from pathlib import Path
 
 from . import ingestion
@@ -136,9 +137,9 @@ class RemoteDayClient:
         wanted = date_range(start, end)
         if not wanted:
             return ()
-        cached = [self._read_cached(network_id, date) for date in wanted]
-        if None not in cached:
-            return tuple(cached)
+        cached = tuple(takewhile(lambda day: day is not None, map(self._read_cached, repeat(network_id), wanted)))
+        if len(cached) == len(wanted):  # read up to the first miss, which fetches the whole range
+            return cached
 
         try:
             document = self._http_get(network_id, start, end)

@@ -1,6 +1,9 @@
 """Value-type invariants, unit conversion, and carbon conversion."""
 
+import copy
 import datetime as dt
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,9 @@ from carbon_ledger import (
     convert_energy,
     serialize_portfolio,
 )
-from carbon_ledger.ingestion import _HOLDING, _coin, parse_date
+from carbon_ledger import ingestion
+from carbon_ledger.errors import RowProblem
+from carbon_ledger.ingestion import parse_date
 from carbon_ledger.numeric import split_decimal
 from carbon_ledger.remote import check_network_id
 from conftest import pow_day, pos_day
@@ -215,6 +220,18 @@ class TestCoinAmount:
             with pytest.raises(AttributeError):
                 setattr(amount, attr, 2)
 
+    def test_undeletable_and_copied_or_pickled_unreduced(self):
+        amount = CoinAmount.of_units(1500, 1000)
+        for attr in ("units", "scale"):
+            with pytest.raises(AttributeError):
+                delattr(amount, attr)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copied = pickle.loads(pickle.dumps(amount, protocol))
+            assert (copied.units, copied.scale, type(copied)) == (1500, 1000, CoinAmount)
+        for copied in (copy.copy(amount), copy.deepcopy(amount)):
+            assert (copied.units, copied.scale) == (1500, 1000)
+            assert copied == amount and hash(copied) == hash(amount)
+
     def test_negative_rejected_and_zero_falsy(self):
         with pytest.raises(ValueError):
             CoinAmount("-0.01")
@@ -233,17 +250,70 @@ def _coin_cells(draw):
     return sign + whole + fraction, places, coin_decimals
 
 
-@settings(max_examples=300, deadline=None)
-@given(_coin_cells())
-def test_inline_coin_cell_is_the_parsers_amount(cell):
-    token, places, coin_decimals = cell
-    row = {"amount": token, "entity_id": "e", "date": "2021-01-01"}
-    inline = _HOLDING.reader(row, coin_decimals).amount
-    parsed = _coin(token, "amount", coin_decimals)
-    assert inline.scale == 10**places  # the reader built it from the digits, not through the parser
-    assert inline == parsed and hash(inline) == hash(parsed) and inline.value == parsed.value
-    inline_document, parsed_document = (
-        serialize_portfolio(Portfolio("net", (HoldingRecord("e", dt.date(2021, 1, 1), amount),)))
-        for amount in (inline, parsed)
+# Every decimal, energy, share and coin column of the specs, each alone in a one-column spec (not required, no
+# default, no bound), so its generated reader gives exactly what its kind's parser gives.
+_DECIMAL_KINDS = (ingestion._DECIMAL, ingestion._ENERGY, ingestion._SHARE, ingestion._COIN)
+_DECIMAL_COLUMNS = [
+    pytest.param(
+        ingestion._Spec("cell", (column._replace(required=False, default=None, bound=None),), (column.attr,), dict),
+        id=f"{spec.noun}.{column.name}",
     )
-    assert inline_document == parsed_document
+    for spec in vars(ingestion).values()
+    if isinstance(spec, ingestion._Spec)
+    for column in spec.columns
+    if column.kind in _DECIMAL_KINDS
+]
+
+
+def _read_both(alone, token, coin_decimals):
+    """A cell read by its column's generated reader and by its kind's parser: each a value or a RowProblem's parts."""
+    (column,) = alone.columns
+    reads = (
+        lambda: alone.reader({column.name: token}, coin_decimals)[column.attr],
+        lambda: column.kind.parse(token, column.name, coin_decimals),
+    )
+    outcomes = []
+    for read in reads:
+        try:
+            outcomes.append(read())
+        except RowProblem as problem:
+            outcomes.append((problem.column, problem.code, problem.reason))
+    return column, *outcomes
+
+
+def _assert_same_cell(column, inline, parsed):
+    assert type(inline) is type(parsed) and inline == parsed
+    if isinstance(parsed, (Fraction, Energy, Share, CoinAmount)):
+        assert hash(inline) == hash(parsed)
+        assert json.dumps(column.kind.render(inline)) == json.dumps(column.kind.render(parsed))
+
+
+@pytest.mark.parametrize("alone", _DECIMAL_COLUMNS)
+@settings(max_examples=60, deadline=None)
+@given(_coin_cells())
+def test_inline_cell_is_the_parsers_value(alone, cell):
+    token, places, coin_decimals = cell
+    column, inline, parsed = _read_both(alone, token, coin_decimals)
+    _assert_same_cell(column, inline, parsed)
+    if column.kind is ingestion._COIN:
+        assert inline.scale == 10**places  # the reader built it from the digits, not through the parser
+        inline_document, parsed_document = (
+            serialize_portfolio(Portfolio("net", (HoldingRecord("e", dt.date(2021, 1, 1), amount),)))
+            for amount in (inline, parsed)
+        )
+        assert inline_document == parsed_document
+
+
+_EDGE_TOKENS = [
+    "+1.5", "+", "-0", "-0.0", "-1", "0007.50", "00", "1" * 640, "1" * 641, "0." + "5" * 638, "0." + "5" * 639,
+    "1.", ".5", "", "1.2.3", "1e5", " 1", "1_0", "\u0661", "1.\u0665", "\u00b2", "0." + "1" * 19, "1.5", "1.0001",
+]
+
+
+@pytest.mark.parametrize("token", _EDGE_TOKENS, ids=lambda token: f"{token[:8]!r}-{len(token)}")
+@pytest.mark.parametrize("alone", _DECIMAL_COLUMNS)
+def test_inline_cell_is_the_parsers_value_at_the_edges(alone, token):
+    # signs, leading zeros, 640 against 641 characters, no digits on one side of the point, absent, non-ASCII
+    # digits, more than 18 places for a coin, and shares above 1: a clean token or the parser's value or problem
+    column, inline, parsed = _read_both(alone, token, 18)
+    _assert_same_cell(column, inline, parsed)

@@ -106,6 +106,18 @@ class TestFetchDays:
         assert days[0].energy.wh == 1000000
         assert client.fetch_count == 1
 
+    def test_a_cold_fetch_reads_one_entry_before_its_one_request(self, index_server, tmp_path, monkeypatch):
+        client = make_client(index_server, tmp_path)
+        events = []
+        read, get = client._read_cached, client._http_get
+        monkeypatch.setattr(client, "_read_cached", lambda *args: events.append("read") or read(*args))
+        monkeypatch.setattr(client, "_http_get", lambda *args: events.append("request") or get(*args))
+        assert len(client.fetch_days("bitcoin", START, END)) == 3
+        assert events == ["read", "request"]
+        events.clear()
+        assert len(client.fetch_days("bitcoin", START, END)) == 3  # warm: every entry is read, nothing requested
+        assert events == ["read"] * 3
+
     def test_cached_range_skips_network(self, index_server, tmp_path):
         client = make_client(index_server, tmp_path)
         first = client.fetch_days("bitcoin", START, END)
