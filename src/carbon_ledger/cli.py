@@ -79,12 +79,18 @@ def _run(body) -> None:
 
     The body runs inside one ``ingestion.bulk()``: what a command loads and
     builds holds no cycles, so a collection between loads, during the join
-    or during allocation would rescan it all and free nothing.
+    or during allocation would rescan it all and free nothing. A broken pipe
+    points fd 1 at ``os.devnull`` (the Python docs' SIGPIPE note), so what
+    stdout's buffer still holds is dropped and the exit's flush cannot fail
+    again: the command exits 2 with the error's one line.
     """
     try:
         with ingestion.bulk():
             body()
     except tuple(_EXIT_CODES) as exc:
+        if isinstance(exc, BrokenPipeError):
+            with contextlib.suppress(OSError, ValueError):  # a stdout with no file descriptor holds no bytes of a pipe
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, DatasetInvalid):
             for issue in exc.issues:
                 click.echo(issue.render(), err=True)

@@ -30,9 +30,14 @@ cyclic garbage collector paused: those objects hold no cycles, and each
 full collection would otherwise rescan every record built so far. The CLI
 runs each whole command inside one such pause.
 
-A JSON file is decoded whole, and its text is freed before any row is read;
-each row is then dropped from the decoded tree as its record is built, so a
-load peaks at the decode, not at the tree plus every record.
+A JSON file is decoded one top-level member at a time (``_members``), by the
+pieces of ``json.loads``; a section its kind reads becomes records as soon as
+it is decoded, each row dropped as its record is built, so the next
+section's tree reuses the freed rows' memory. A portfolio's load peaks at its
+text, its holding records and its transactions' tree, not at the text and
+both trees. Layer-2 entries stay a tree until the entry hook reads them, and
+text that ``json.loads`` does not read as an object is decoded whole again,
+for its error.
 """
 
 from __future__ import annotations
@@ -482,6 +487,16 @@ _L2 = _Spec(
 )
 
 NETWORK_CSV_COLUMNS = _DAY.names
+# the sections a JSON document's kind reads as soon as each is decoded (layer-2 entries wait: a file fixes their kinds)
+_PORTFOLIO_SECTIONS = {"holdings": _HOLDING, "transactions": _TRANSACTION}
+_APP_SECTIONS = {"apps": _APP, "token_holdings": _TOKEN_HOLDING}
+
+
+class _Read(NamedTuple):
+    """A section already read by its section loop: its records and its rows' issues."""
+
+    records: list
+    issues: list
 
 
 def _sections(document: dict[str, Any], source: str, coin_decimals: int, **readers: Callable) -> list[list]:
@@ -490,16 +505,19 @@ def _sections(document: dict[str, Any], source: str, coin_decimals: int, **reade
     Each array is read by its section loop, ``read(rows, coin_decimals,
     source, issues)``: a spec's ``read_rows``, with its ``finish`` bound
     where a record needs more than its columns (days: ``_read_days``). Each row is dropped once read.
+    A section ``_read_members`` has read already (a ``_Read``) is taken as it stands.
     """
     issues: list[ValidationIssue] = []
     records = []
     with bulk():
         for key, read in readers.items():
             rows, name = document.get(key, []), f"{source}:{key}"
-            if not isinstance(rows, list):
-                issues.append(ValidationIssue(name, "schema_mismatch", "must be an array"))
-                rows = []
-            records.append(read(rows, coin_decimals, name, issues))
+            if isinstance(rows, list):
+                rows = _Read(read(rows, coin_decimals, name, section_issues := []), section_issues)
+            elif not isinstance(rows, _Read):
+                rows = _Read([], [ValidationIssue(name, "schema_mismatch", "must be an array")])
+            issues += rows.issues
+            records.append(rows.records)
     if issues:
         raise DatasetInvalid(issues)
     return records
@@ -524,18 +542,78 @@ def _merge(spec: _Spec, suffix: str, files: Iterable[tuple[str, Iterable]], issu
 
 
 class Decoded(NamedTuple):
-    """A JSON file's top-level object, decoded; the ``load_*_json`` functions take it in place of its path.
+    """A JSON file's top-level members, as ``_read_members`` leaves them; ``load_*_json`` takes it in place of a path.
 
-    It is single-use: a load drops each row of the document's sections as it
-    builds the row's record, so a second load would find only ``None`` rows.
+    A section a load reads is held as its records already, so a load drops
+    nothing twice; a section still an array is single-use, as its rows are
+    dropped when its records are built.
     """
 
     name: str
     document: dict[str, Any]
 
 
+# the stdlib's pieces of ``json.loads``: its C scanner where there is one, its string reader and its whitespace
+_SCAN = json.JSONDecoder().scan_once
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _members(text: str | bytes, source: str) -> Iterator[tuple[str, Any]]:
+    """The (key, value) members of a JSON object's text, each value decoded only once the one before it is taken.
+
+    Keys are read by ``json.decoder.scanstring``, values by the scanner ``json.loads`` runs and the gaps by its
+    whitespace pattern, so a text that ``json.loads`` reads as an object is read here to the same values; a key
+    given twice is given twice, the later last. The text is dropped once its closing brace and trailing whitespace
+    are checked, before the last member is given. On any other text, ``_decode`` reads it whole: its error is the
+    issue, and an object it does read (UTF-8 bytes too) is given again from its first member.
+    """
+    try:
+        at = _SPACE(text, 0).end() + 1
+        if text[at - 1 : at] != "{":
+            raise ValueError
+        at, last = _SPACE(text, at).end(), None
+        if text[at : at + 1] != "}":
+            while True:
+                if text[at : at + 1] != '"':
+                    raise ValueError
+                key, at = json.decoder.scanstring(text, at + 1)
+                at = _SPACE(text, at).end()
+                if text[at : at + 1] != ":":
+                    raise ValueError
+                value, at = _SCAN(text, _SPACE(text, at + 1).end())
+                at = _SPACE(text, at).end()
+                if text[at : at + 1] != ",":
+                    break
+                yield key, value
+                at = _SPACE(text, at + 1).end()
+            last = key, value
+        if text[at : at + 1] != "}" or _SPACE(text, at + 1).end() != len(text):
+            raise ValueError
+    except (ValueError, RecursionError, StopIteration, TypeError):  # no value where one must be; UTF-8 bytes
+        yield from _decode(text, source).items()
+        return
+    del text
+    if last is not None:
+        yield last
+
+
+def _read_members(members: Iterable[tuple[str, Any]], source: str, coin_decimals: int, specs: Mapping) -> dict:
+    """A JSON document from its members; an array under a key of ``specs`` is read by that spec as it is given.
+
+    Such a section becomes its records and issues (a ``_Read``, which ``_sections`` takes), so its rows are
+    freed before the next member is decoded; a later member of the same key replaces it.
+    """
+    document = {}
+    with bulk():
+        for key, value in members:
+            if key in specs and isinstance(value, list):
+                value = _Read(specs[key].read_rows(value, coin_decimals, f"{source}:{key}", issues := []), issues)
+            document[key] = value
+    return document
+
+
 def _decode(text: str | bytes, source: str) -> dict[str, Any]:
-    """The top-level object of a JSON text, or of its UTF-8 bytes."""
+    """The top-level object of a JSON text, or of its UTF-8 bytes, decoded whole."""
     try:
         with bulk():
             document = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
@@ -560,6 +638,12 @@ def json_document(text: str | bytes | dict[str, Any], source: str) -> dict[str, 
     return document
 
 
+def _schema_checked(text: str | dict[str, Any], source: str, coin_decimals: int, specs: Mapping) -> dict[str, Any]:
+    """``json_document`` of a JSON text or top-level object whose ``specs`` sections are read as they are given."""
+    members = text.items() if isinstance(text, dict) else _members(text, source)
+    return json_document(_read_members(members, source, coin_decimals, specs), source)
+
+
 def _read(path: str | Path) -> tuple[str, str]:
     """A file's text and its name, the source of its issues."""
     path = Path(path)
@@ -569,12 +653,12 @@ def _read(path: str | Path) -> tuple[str, str]:
         raise SchemaMismatch(path.name, f"not UTF-8 text: {exc}") from None
 
 
-def _document(path: str | Path | Decoded) -> tuple[dict[str, Any], str]:
-    """A JSON file's top-level object and its name; the file's text is freed before any row is read."""
+def _document(path: str | Path | Decoded, coin_decimals: int, specs: Mapping) -> tuple[dict[str, Any], str]:
+    """A JSON file's members (``Decoded``) and its name; the file's text is held by the walk alone, which frees it."""
     if isinstance(path, Decoded):
         return path.document, path.name
-    text, name = _read(path)
-    return _decode(text, name), name
+    name = Path(path).name
+    return _read_members(_members(_read(path)[0], name), name, coin_decimals, specs), name
 
 
 def _day(values: dict[str, Any], consensus: ConsensusParams) -> NetworkDay:
@@ -655,7 +739,7 @@ def parse_portfolio_json(
     text: str | dict[str, Any], source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> Portfolio:
     """Parse and validate a portfolio document: its JSON text, or its top-level object (see ``Decoded``)."""
-    document = json_document(text, source)
+    document = _schema_checked(text, source, coin_decimals, _PORTFOLIO_SECTIONS)
     network_id = document.get("network_id")
     if not isinstance(network_id, str) or not network_id:
         raise SchemaMismatch(source, "missing network_id")
@@ -666,7 +750,7 @@ def parse_portfolio_json(
 
 
 def load_portfolio_json(path: str | Path | Decoded, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> Portfolio:
-    return parse_portfolio_json(*_document(path), coin_decimals)
+    return parse_portfolio_json(*_document(path, coin_decimals, _PORTFOLIO_SECTIONS), coin_decimals)
 
 
 def parse_apps_json(
@@ -674,7 +758,7 @@ def parse_apps_json(
 ) -> AppBundle:
     """Parse and validate an app registry document: its JSON text, or its top-level object."""
     apps, token_holdings = _sections(
-        json_document(text, source),
+        _schema_checked(text, source, coin_decimals, _APP_SECTIONS),
         source,
         coin_decimals,
         apps=_APP.read_rows,
@@ -684,7 +768,7 @@ def parse_apps_json(
 
 
 def load_apps_json(path: str | Path | Decoded, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> AppBundle:
-    return parse_apps_json(*_document(path), coin_decimals)
+    return parse_apps_json(*_document(path, coin_decimals, _APP_SECTIONS), coin_decimals)
 
 
 def parse_days_json(
@@ -749,7 +833,7 @@ def _parse_l2(text, source, host_consensus, coin_decimals, fixed: dict[str, tupl
             declared[l2_id] = kind
         return record
 
-    document = json_document(text, source)
+    document = _schema_checked(text, source, coin_decimals, {})
     (entries,) = _sections(document, source, coin_decimals, l2s=functools.partial(_L2.read_rows, finish=entry))
     return L2Bundle(tuple(entries), declared)
 
@@ -757,7 +841,7 @@ def _parse_l2(text, source, host_consensus, coin_decimals, fixed: dict[str, tupl
 def load_l2_json(
     path: str | Path | Decoded, host_consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> L2Bundle:
-    return parse_l2_json(*_document(path), host_consensus, coin_decimals)
+    return parse_l2_json(*_document(path, coin_decimals, {}), host_consensus, coin_decimals)
 
 
 def validate_files(
@@ -776,7 +860,7 @@ def validate_files(
             if path.suffix == ".csv":
                 days.append((path.name, load_network_csv(path, network_id, consensus, coin_decimals)))
                 continue
-            document, name = _document(path)
+            document, name = _document(path, coin_decimals, {**_PORTFOLIO_SECTIONS, **_APP_SECTIONS})
             decoded = Decoded(name, document)
             if "holdings" in document or "transactions" in document:
                 portfolios.append((name, load_portfolio_json(decoded, coin_decimals)))

@@ -1,4 +1,4 @@
-"""``validate`` decodes each JSON file once and still loads it through ``ingestion.load_*_json``."""
+"""``validate`` walks each JSON file once and still loads it through ``ingestion.load_*_json``."""
 
 import datetime as dt
 import json
@@ -36,9 +36,10 @@ def test_each_json_file_is_decoded_once(tmp_path, monkeypatch):
     holder = TokenHolding("alice", "dex", D1, CoinAmount(Fraction(5)))
     apps.write_text(serialize_apps(AppBundle((app,), (holder,))))
 
-    decoded, loaded = [], []
-    real_loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or real_loads(text, **kw))
+    walked, whole, loaded = [], [], []
+    real_members, real_loads = ingestion._members, json.loads
+    monkeypatch.setattr(ingestion, "_members", lambda text, source: walked.append(source) or real_members(text, source))
+    monkeypatch.setattr(json, "loads", lambda text, **kw: whole.append(text) or real_loads(text, **kw))
     for name in ("load_portfolio_json", "load_apps_json"):
         real = getattr(ingestion, name)
         monkeypatch.setattr(
@@ -48,5 +49,6 @@ def test_each_json_file_is_decoded_once(tmp_path, monkeypatch):
     args = ["validate", str(days), str(portfolio), str(apps), "--network", "bitcoin", "--consensus", "pow"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
-    assert len(decoded) == 2
+    assert walked == ["portfolio.json", "apps.json"]
+    assert whole == []  # valid text is walked member by member, never decoded whole
     assert loaded == ["load_portfolio_json", "load_apps_json"]
