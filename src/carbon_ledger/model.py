@@ -584,3 +584,8 @@ class AllocationResult:
 
     def sort_key(self) -> tuple:
         return (self._date, self._entity_id, self._activity.value)
+
+
+# What a writer reads of a result, in one call: its pool, date, method, activity, entity, share
+# (quantity and total, not reduced) and basis.
+result_parts = attrgetter("_pool", "_date", "_method", "_activity", "_entity_id", "_quantity", "_total", "_basis")

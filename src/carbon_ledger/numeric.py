@@ -6,7 +6,8 @@ Binary floats never touch a value. Decimal strings appear only at the I/O
 boundary: input tokens are parsed exactly, and output is rounded half-even at
 a configurable number of significant digits as the final step. The one
 rounding kernel reads a non-negative ratio of two integers, reduced or not,
-so a value carried as an unreduced ratio is rendered without a ``Fraction``.
+so a value carried as an unreduced ratio is rendered without a ``Fraction``,
+and one text routine, ``format_ratio_shifted``, places its digits.
 """
 
 from __future__ import annotations
@@ -62,25 +63,6 @@ def is_finite_decimal(value: Fraction) -> bool:
     return d == 1
 
 
-def _placed(digits: str, k: int) -> str:
-    """Normalized decimal string of int(digits) * 10**k, for digits with no trailing zero."""
-    if k >= 0:
-        return digits + "0" * k
-    point = len(digits) + k
-    if point > 0:
-        return f"{digits[:point]}.{digits[point:]}"
-    return f"0.{'0' * -point}{digits}"
-
-
-def _render(q: int, k: int) -> str:
-    """Normalized decimal string of q * 10**k for q >= 0: no exponent, no trailing zeros."""
-    if q == 0:
-        return "0"
-    text = str(q)
-    digits = text.rstrip("0")
-    return _placed(digits, k + len(text) - len(digits))
-
-
 def _sign(value: Fraction) -> str:
     return "-" if value.numerator < 0 else ""
 
@@ -100,7 +82,15 @@ def decimal_str(value: Fraction) -> str:
     if d != 1:
         raise ArgumentMismatch(f"{value!r} has no finite decimal expansion")
     k = max(twos, fives)
-    return _sign(value) + _render(abs(value.numerator) * 10**k // value.denominator, -k)
+    q = abs(value.numerator) * 10**k // value.denominator
+    # rounded to all of its digits, q is itself
+    return _sign(value) + format_ratio_shifted(q, 1, len(str(q)), k)[1]
+
+
+_NOT_A_RATIO = "a ratio n/d to round needs n >= 0 and d > 0"
+# 10**i for the exponents a cell meets; _round_half_even computes larger ones
+_POWERS = tuple(10**i for i in range(64))
+_BOUND = len(_POWERS)
 
 
 def _round_half_even(n: int, d: int, sig_digits: int) -> tuple[int, int]:
@@ -108,26 +98,37 @@ def _round_half_even(n: int, d: int, sig_digits: int) -> tuple[int, int]:
 
     The ratio is non-negative (n >= 0, d > 0) and need not be reduced: the
     quotient and the tie test read only n/d's value. Integer-only: no big
-    integer is turned into a string, and the tie is exact.
+    integer is turned into a string, and the tie is exact. A negative n or a
+    d <= 0 raises ArgumentMismatch. The signs are read only on the n <= 0
+    branch and where k moves, so a valid ratio pays for no added test.
     """
     if sig_digits < 1:
         raise ArgumentMismatch("sig_digits must be >= 1")
-    if n == 0:
-        return 0, 0
-    high = 10**sig_digits
-    low = high // 10
+    if n <= 0:
+        if n == 0 and d > 0:
+            return 0, 0
+        raise ArgumentMismatch(_NOT_A_RATIO)
+    if sig_digits < _BOUND:
+        low, high = _POWERS[sig_digits - 1], _POWERS[sig_digits]
+    else:
+        low, high = 10 ** (sig_digits - 1), 10**sig_digits
     # floor(log10(n/d)) estimated from bit lengths; the loop makes it exact
     k = (n.bit_length() - d.bit_length()) * 30103 // 100000 - sig_digits + 1
-    while True:
-        if k >= 0:
-            div = d * 10**k
-            q, r = divmod(n, div)
-        else:
-            div = d
-            q, r = divmod(n * 10**-k, d)
-        if low <= q < high:
-            break
-        k += 1 if q >= high else -1
+    try:
+        while True:
+            if k >= 0:
+                div = d * (_POWERS[k] if k < _BOUND else 10**k)
+                q, r = divmod(n, div)
+            else:
+                div = d
+                q, r = divmod(n * (_POWERS[-k] if -k < _BOUND else 10**-k), d)
+            if low <= q < high:
+                break
+            if q < 0:  # d < 0: q would fall forever
+                raise ArgumentMismatch(_NOT_A_RATIO)
+            k += 1 if q >= high else -1
+    except ZeroDivisionError:
+        raise ArgumentMismatch(_NOT_A_RATIO) from None
     r += r  # the tie test compares 2r with the divisor
     if r > div or (r == div and q % 2 == 1):
         q += 1
@@ -142,25 +143,37 @@ def round_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> Fraction
     return (-q if value.numerator < 0 else q) * Fraction(10) ** k
 
 
-def format_ratio(n: int, d: int, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
-    """``format_sig`` of n/d for integers n >= 0 and d > 0, without reducing the ratio."""
-    return _render(*_round_half_even(n, d, sig_digits))
-
-
 def format_ratio_shifted(n: int, d: int, sig_digits: int, shift: int) -> tuple[str, str]:
-    """``format_ratio`` of n/d and of n/d / 10**shift, from one rounding.
+    """``format_ratio`` of n/d and of n/d / 10**shift, from one rounding: the one text routine.
 
     Rounding to significant digits commutes with powers of ten, so the same
-    (q, k) renders both; this is how Wh and kWh cells are made together.
+    (q, k) renders both; this is how Wh and kWh cells are made together. A
+    cell with no shifted twin passes ``shift`` 0 and reads the first text.
+    The texts are normalized decimals: no exponent, no trailing zeros.
     """
     q, k = _round_half_even(n, d, sig_digits)
     if q == 0:
         return "0", "0"
-    # one digit strip for both cells
-    text = str(q)
-    digits = text.rstrip("0")
-    k += len(text) - len(digits)
-    return _placed(digits, k), _placed(digits, k - shift)
+    digits = str(q).rstrip("0")
+    k += sig_digits - len(digits)  # q has sig_digits digits
+    # placed twice, not by a helper: a call per cell costs more than the placing
+    if k >= 0:
+        text = digits + "0" * k
+    else:  # at least one digit before the point
+        padded = digits.rjust(1 - k, "0")
+        text = f"{padded[:k]}.{padded[k:]}"
+    if not shift:
+        return text, text
+    k -= shift
+    if k >= 0:
+        return text, digits + "0" * k
+    padded = digits.rjust(1 - k, "0")
+    return text, f"{padded[:k]}.{padded[k:]}"
+
+
+def format_ratio(n: int, d: int, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:
+    """``format_sig`` of n/d for integers n >= 0 and d > 0, without reducing the ratio."""
+    return format_ratio_shifted(n, d, sig_digits, 0)[0]
 
 
 def format_sig(value: Fraction, sig_digits: int = DEFAULT_SIG_DIGITS) -> str:

@@ -7,6 +7,13 @@ methodology does not account for an activity are structurally N/A. The
 average transaction is defined as a share of 1/tx_count on each day, then
 averaged over days, which makes the transaction-based cell exactly
 energy/tx_count on constant data.
+
+Result files are written in one pass per result, shared by JSON
+(``allocation_json_chunks``) and CSV (``results_csv_chunks``): a pool's
+fixed cells are written once into the text fragments of a result's object
+or line, and each result adds its entity, basis and numbers between them,
+one ``numeric.format_ratio_shifted`` call a number (Wh and kWh from one).
+``_result_rows`` gives the same cells one by one, as the tests' view.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import engine
@@ -37,6 +43,7 @@ from .model import (
     Portfolio,
     TransactionRecord,
     Value,
+    result_parts,
 )
 from .numeric import DEFAULT_SIG_DIGITS, format_ratio, format_ratio_shifted, format_sig
 
@@ -261,28 +268,32 @@ _JSON_RESULT = (
 
 
 def _json_cell(column: str, text: str) -> str:
-    """A cell's text as ``_JSON_RESULT`` takes it: the JSON value of a fixed verbatim cell, else as it is.
+    """A cell's text as ``_JSON_RESULT`` takes it: the JSON value of a verbatim cell, else as it is.
 
     The fill flag is a boolean, an empty carbon or weight source null. The
-    entity and basis slots stay slots: those cells come escaped per result.
+    entity and basis come escaped per result, so they stay as they are.
     """
     if column not in _JSON_VERBATIM or column in ("entity_id", "basis", "filled_forward"):
         return text
     return _json_str(text) if text or column == "scope" else "null"
 
 
+# How a result is written: the text around each of its cells, how a fixed cell's text is
+# written and how an entity or basis is escaped. A JSON result starts with its separator.
+_JSON_FORM = ((",\n" + _JSON_RESULT).split("%s"), _json_cell, _json_str)
+_CSV_FORM = (["", *[","] * (len(_RESULT_COLUMNS) - 1), "\n"], lambda column, text: _csv_cell(text), _csv_cell)
+
+
 class _PoolText:
     """What every result of one pool, date, method and activity renders alike.
 
     ``cells`` are a result's cells with None in each per-result slot:
-    entity, Wh, kWh, carbon (unless fixed empty), share and basis. ``json``
-    and ``csv`` are the fixed cells written once into the result's JSON
-    object and CSV line, ``%`` escaped, with a ``%s`` for each slot. A
+    entity, Wh, kWh, carbon (unless fixed empty), share and basis. A
     result's energy is ``wh_n·quantity / (wh_d·total)``, its carbon
     ``carbon_n·quantity / (carbon_d·total)``.
     """
 
-    __slots__ = ("key", "cells", "json", "csv", "wh_n", "wh_d", "carbon_n", "carbon_d")
+    __slots__ = ("key", "cells", "wh_n", "wh_d", "carbon_n", "carbon_d")
 
     def __init__(self, key: tuple, sig_digits: int, with_carbon: bool):
         pool, date, method, activity = self.key = key
@@ -306,47 +317,36 @@ class _PoolText:
         else:
             self.carbon_n, self.carbon_d = wh.numerator * factor.numerator, wh.denominator * factor.denominator
         self.cells = [fixed.get(column) for column in _RESULT_COLUMNS]
-        texts = [cell.replace("%", "%%") if cell is not None else "%s" for cell in self.cells]
-        self.csv = _csv_line(texts) + "\n"
-        self.json = _JSON_RESULT % tuple(map(_json_cell, _RESULT_COLUMNS, texts))
 
-
-_RESULT_KEY = attrgetter("pool", "date", "method", "activity")
-
-
-def _per_result(
-    results: Iterable[AllocationResult], sig_digits: int, with_carbon: bool, escape
-) -> Iterator[tuple[_PoolText, tuple[str, ...]]]:
-    """Each result's ``_PoolText`` and its per-result cells, the entity and basis passed through ``escape``.
-
-    The numbers are rounded from the result's integers, not reduced (Wh and
-    kWh from one rounding). A result's pool, date, method and activity are
-    compared, not hashed, with its pool's ``_PoolText``, made again if they differ.
-    """
-    pools: dict[Pool, _PoolText] = {}
-    bases: dict[str, str] = {}
-    for result in results:
-        key = _RESULT_KEY(result)
-        text = pools.get(key[0])
-        if text is None or text.key != key:
-            text = pools[key[0]] = _PoolText(key, sig_digits, with_carbon)
-        quantity, total, basis = result.quantity, result.total, result.basis
-        wh, kwh = format_ratio_shifted(text.wh_n * quantity, text.wh_d * total, sig_digits, 3)
-        share = format_ratio(quantity, total, sig_digits)
-        basis = bases.get(basis) or bases.setdefault(basis, escape(basis))
-        if text.carbon_n is None:
-            yield text, (escape(result.entity_id), wh, kwh, share, basis)
-        else:
-            carbon = format_ratio(text.carbon_n * quantity, text.carbon_d * total, sig_digits)
-            yield text, (escape(result.entity_id), wh, kwh, carbon, share, basis)
+    def fragments(self, form) -> tuple[str, ...]:
+        """The text of a result in ``form`` around its per-result cells: the fixed cells written once."""
+        around, fixed_cell, _ = form
+        fragments, text = [], around[0]
+        for column, cell, after in zip(_RESULT_COLUMNS, self.cells, around[1:]):
+            if cell is None:
+                # a per-result cell's own quotes, if any, are fixed text too
+                opening, closing = fixed_cell(column, "%s").split("%s")
+                fragments.append(text + opening)
+                text = closing + after
+            else:
+                text += fixed_cell(column, cell) + after
+        return (*fragments, text)
 
 
 def _result_rows(
     results: Iterable[AllocationResult], sig_digits: int, with_carbon: bool
 ) -> Iterator[list[str]]:
-    """Each result's cells as text, in ``_RESULT_COLUMNS`` order: the JSON and CSV templates filled cell by cell."""
-    for text, cells in _per_result(results, sig_digits, with_carbon, str):
-        cells = iter(cells)
+    """Each result's cells as text, in ``_RESULT_COLUMNS`` order: the cells the writers write, one by one."""
+    pools: dict[Pool, _PoolText] = {}
+    for result in results:
+        pool, date, method, activity, entity_id, quantity, total, basis = result_parts(result)
+        text = pools.get(pool)
+        if text is None or text.key != (pool, date, method, activity):
+            text = pools[pool] = _PoolText((pool, date, method, activity), sig_digits, with_carbon)
+        cells = [entity_id, *format_ratio_shifted(text.wh_n * quantity, text.wh_d * total, sig_digits, 3)]
+        if text.carbon_n is not None:
+            cells.append(format_ratio(text.carbon_n * quantity, text.carbon_d * total, sig_digits))
+        cells = iter([*cells, format_ratio(quantity, total, sig_digits), basis])
         yield [next(cells) if cell is None else cell for cell in text.cells]
 
 
@@ -361,6 +361,43 @@ def _batches(items: Iterable) -> Iterator[list]:
         yield batch
 
 
+def _written(results: Iterable[AllocationResult], sig_digits: int, with_carbon: bool, form) -> Iterator[list[str]]:
+    """The results written in ``form``, as one list of text pieces per ``CHUNK_ROWS`` results.
+
+    Each result is its pool's fragments (made once per pool, date, method
+    and activity) around its own cells. The numbers are rounded from the
+    result's integers, not reduced, one kernel call a cell (Wh and kWh
+    from one rounding); each entity and basis is escaped once per
+    distinct text.
+    """
+    escape = form[2]
+    pools: dict[Pool, tuple] = {}
+    escaped: dict[str, str] = {}
+    for batch in _batches(results):
+        pieces: list[str] = []
+        for result in batch:
+            pool, date, method, activity, entity_id, quantity, total, basis = result_parts(result)
+            entry = pools.get(pool)
+            if entry is None or entry[0] != (date, method, activity):
+                text = _PoolText((pool, date, method, activity), sig_digits, with_carbon)
+                entry = pools[pool] = (
+                    (date, method, activity), text.fragments(form), text.wh_n, text.wh_d, text.carbon_n, text.carbon_d
+                )
+            _, fragments, wh_n, wh_d, carbon_n, carbon_d = entry
+            entity = escaped.get(entity_id) or escaped.setdefault(entity_id, escape(entity_id))
+            basis = escaped.get(basis) or escaped.setdefault(basis, escape(basis))
+            wh, kwh = format_ratio_shifted(wh_n * quantity, wh_d * total, sig_digits, 3)
+            share = format_ratio_shifted(quantity, total, sig_digits, 0)[0]
+            if carbon_n is None:
+                f0, f1, f2, f3, f4, f5 = fragments
+                pieces += (f0, entity, f1, wh, f2, kwh, f3, share, f4, basis, f5)
+            else:
+                f0, f1, f2, f3, f4, f5, f6 = fragments
+                carbon = format_ratio_shifted(carbon_n * quantity, carbon_d * total, sig_digits, 0)[0]
+                pieces += (f0, entity, f1, wh, f2, kwh, f3, carbon, f4, share, f5, basis, f6)
+        yield pieces
+
+
 def results_csv_chunks(
     results: Iterable[AllocationResult],
     sig_digits: int = DEFAULT_SIG_DIGITS,
@@ -368,9 +405,8 @@ def results_csv_chunks(
 ) -> Iterator[str]:
     """The result CSV as text chunks: the header, then ``CHUNK_ROWS`` lines at a time."""
     yield ",".join(_RESULT_COLUMNS) + "\n"
-    lines = (text.csv % cells for text, cells in _per_result(results, sig_digits, with_carbon, _csv_cell))
-    for batch in _batches(lines):
-        yield "".join(batch)
+    for pieces in _written(results, sig_digits, with_carbon, _CSV_FORM):
+        yield "".join(pieces)
 
 
 def results_to_csv(
@@ -420,22 +456,23 @@ def allocation_json_chunks(
     """The result document as text chunks of ``CHUNK_ROWS`` results, joined as ``allocation_to_json``.
 
     The document is byte for byte what ``json.dumps(obj, indent=2) + "\\n"``
-    writes. Each result fills its pool's copy of one fixed-shape template
-    instead of building a dict per row for ``json`` (whose pure-Python
-    encoder runs when ``indent`` is set); the summary, a dozen cells, still goes through
-    ``json.dumps``. The head rides on the first chunk and the summary on the
-    last.
+    writes. Each result is its pool's text fragments of one fixed-shape
+    object around its own cells (``_written``), instead of a dict per row
+    for ``json`` (whose pure-Python encoder runs when ``indent`` is set);
+    the summary, a dozen cells, still goes through ``json.dumps``. The head
+    rides on the first chunk and the summary on the last.
     """
     head = (
         f'{{\n  "schema_version": "1",\n  "network_id": {_json_str(network_id)},\n'
         f'  "method": "{allocation.method.value}",\n  "results": ['
     )
     written = False
-    for batch in _batches(
-        text.json % cells for text, cells in _per_result(allocation.results, sig_digits, with_carbon, _json_str)
-    ):
-        yield (",\n" if written else head + "\n") + ",\n".join(batch)
-        written = True
+    for pieces in _written(allocation.results, sig_digits, with_carbon, _JSON_FORM):
+        if not written:
+            # the document's first result has the head before it, not a separator
+            pieces[0] = head + "\n" + pieces[0].removeprefix(",\n")
+            written = True
+        yield "".join(pieces)
     summary = json.dumps(summary_to_obj(allocation.summary, sig_digits, with_carbon), indent=2)
     # json.dumps escapes line breaks inside strings, so every "\n" here is layout
     summary = summary.replace("\n", "\n  ")

@@ -37,7 +37,7 @@ from carbon_ledger import (
 from carbon_ledger.apps import AppDay
 from carbon_ledger.engine import MethodWeights
 from carbon_ledger.ingestion import Dataset
-from carbon_ledger.numeric import decimal_str, format_sig
+from carbon_ledger.numeric import decimal_str, format_ratio, format_ratio_shifted, format_sig
 from carbon_ledger.report import series_rows
 from conftest import POW, frac, pow_day
 
@@ -49,6 +49,8 @@ HOLDING, TX = HoldingRecord("alice", D1, CoinAmount(frac("1"))), TransactionReco
 TOKENS = TokenHolding("alice", "uniswap", D1, CoinAmount(frac("1")))
 RESULT = allocate_holding(pow_day(date=D1, emission_factor="400"), None, HOLDING, Method.HOLDING_BASED)
 ZERO = allocate_holding(DAY, None, HoldingRecord("alice", D1, CoinAmount(0)), Method.HOLDING_BASED)
+
+NOT_A_RATIO = "a ratio n/d to round needs n >= 0 and d > 0"
 
 CASES = {
     "weights_sum": (
@@ -110,6 +112,16 @@ CASES = {
         "carbon 1 g on zero energy",
     ),
     "sig_digits_below_one": (lambda: format_sig(Fraction(1), 0), "sig_digits must be >= 1"),
+    # the rounding kernel reads n/d with n >= 0 and d > 0; outside that it would loop or divide by zero
+    "ratio_negative_numerator": (lambda: format_ratio(-7, 3), NOT_A_RATIO),
+    "ratio_negative_denominator": (lambda: format_ratio(7, -3), NOT_A_RATIO),
+    "ratio_large_over_negative": (lambda: format_ratio(10**20, -3), NOT_A_RATIO),
+    "ratio_zero_denominator": (lambda: format_ratio(7, 0), NOT_A_RATIO),
+    "ratio_zero_over_zero": (lambda: format_ratio(0, 0), NOT_A_RATIO),
+    "ratio_both_negative": (lambda: format_ratio(-7, -3), NOT_A_RATIO),
+    "shifted_ratio_negative_numerator": (lambda: format_ratio_shifted(-7, 3, 6, 3), NOT_A_RATIO),
+    "shifted_ratio_negative_denominator": (lambda: format_ratio_shifted(7, -3, 6, 3), NOT_A_RATIO),
+    "shifted_ratio_zero_denominator": (lambda: format_ratio_shifted(7, 0, 6, 3), NOT_A_RATIO),
     "no_finite_decimal": (
         lambda: decimal_str(Fraction(1, 3)),
         "Fraction(1, 3) has no finite decimal expansion",

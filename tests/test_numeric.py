@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carbon_ledger import numeric
 from carbon_ledger.numeric import (
     _round_half_even,
     decimal_str,
     format_ratio,
+    format_ratio_shifted,
     format_sig,
     fraction_digits,
     is_finite_decimal,
@@ -199,6 +201,42 @@ def test_an_unreduced_ratio_rounds_as_its_fraction(case, g):
     assert (q, k) == _round_half_even(value.numerator, value.denominator, sig)
     assert format_ratio(n * g, d * g, sig) == format_sig(value, sig)
 
+
+
+# The kernel reads 10**i from a table below this bound and computes it above.
+_TABLE = len(numeric._POWERS)
+_exponents = st.one_of(
+    st.integers(min_value=-6000, max_value=6000),
+    st.integers(min_value=_TABLE - 25, max_value=_TABLE + 25),
+    st.integers(min_value=-_TABLE - 25, max_value=-_TABLE + 25),
+)
+
+
+@st.composite
+def _scaled_ratios(draw):
+    """(n, d, sig): a tie, a carry or any ratio, times 10**e for e on both sides of the table's bound."""
+    sig = draw(st.integers(min_value=1, max_value=20) | st.integers(min_value=_TABLE - 2, max_value=_TABLE + 2))
+    kind = draw(st.sampled_from(("tie", "carry", "any")))
+    if kind == "tie":
+        value = Fraction(draw(st.integers(min_value=10 ** (sig - 1), max_value=10**sig - 1)) * 10 + 5)
+    elif kind == "carry":
+        value = Fraction((10**sig - 1) * 10 + draw(st.integers(min_value=5, max_value=9)))
+    else:
+        n = draw(st.integers(min_value=0, max_value=10**40))
+        value = Fraction(n, draw(st.integers(min_value=1, max_value=10**40)))
+    value *= Fraction(10) ** draw(_exponents)
+    return value.numerator, value.denominator, sig
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled_ratios(), st.integers(min_value=1, max_value=10**20), st.integers(min_value=0, max_value=12))
+def test_a_shifted_ratio_renders_as_its_two_fractions(case, g, shift):
+    n, d, sig = case
+    value = Fraction(n, d)
+    assert format_ratio_shifted(n * g, d * g, sig, shift) == (
+        format_sig(value, sig),
+        format_sig(value / 10**shift, sig),
+    )
 
 def test_format_sig_renders_values_beyond_the_digit_limit():
     huge = Fraction(10**9000 + 1, 3 * 10**4500)
