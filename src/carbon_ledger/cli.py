@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import dataclasses
 import datetime as _dt
 import functools
 import json
@@ -159,7 +158,7 @@ def validate(paths, network, consensus, coin_decimals, json_report):
     def body():
         issues = ingestion.validate_files(paths, network, ConsensusParams(Consensus(consensus)), coin_decimals)
         if json_report:
-            payload = {"ok": not issues, "issues": [dataclasses.asdict(issue) for issue in issues]}
+            payload = {"ok": not issues, "issues": [vars(issue) for issue in issues]}
             click.echo(json.dumps(payload, indent=2, sort_keys=True))
         else:
             for issue in issues:

@@ -332,10 +332,15 @@ def _summarize(results: Iterable[AllocationResult], activity: Activity) -> Activ
     count = 0
     for r in results:
         if r.activity is activity:
-            day = quantities.get(r.date)
+            date, pool = r.date, r.pool
+            day = quantities.get(date)
             if day is None:
-                day = quantities[r.date] = {}
-                pools[r.date] = r.pool
+                day = quantities[date] = {}
+                pools[date] = pool
+            elif pool is not pools[date]:  # positionally built results each hold a pool of their own
+                first = pools[date]
+                if (pool.wh, pool.carbon_per_wh) != (first.wh, first.carbon_per_wh):
+                    raise ArgumentMismatch(f"{activity.value} results of {date} draw on more than one pool")
             day[r.total] = day.get(r.total, 0) + r.quantity
             count += 1
     if not count:
@@ -369,7 +374,8 @@ def summarize(method: Method, results: Iterable[AllocationResult]) -> PeriodSumm
     """The period summary of one allocation's results, as ``allocate_portfolio`` returns them.
 
     Each activity's results of one date must draw on one pool, as the
-    results of one day plan do.
+    results of one day plan do, or on pools of equal energy and carbon factor;
+    any others raise ``ArgumentMismatch``.
     """
     results = tuple(results)
     return PeriodSummary(

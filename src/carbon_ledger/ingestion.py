@@ -31,13 +31,15 @@ full collection would otherwise rescan every record built so far. The CLI
 runs each whole command inside one such pause.
 
 A JSON file is decoded one top-level member at a time (``_members``), by the
-pieces of ``json.loads``; a section its kind reads becomes records as soon as
-it is decoded, each row dropped as its record is built, so the next
-section's tree reuses the freed rows' memory. A portfolio's load peaks at its
-text, its holding records and its transactions' tree, not at the text and
-both trees. Layer-2 entries stay a tree until the entry hook reads them, and
-text that ``json.loads`` does not read as an object is decoded whole again,
-for its error.
+pieces of ``json.loads``, and ``_read_members`` is the one place a section
+becomes records: as soon as it is decoded, each row dropped as its record is
+built, so the next section's tree reuses the freed rows' memory. Each kind
+lists its sections once, in a table of section loops that the walk reads and
+``_sections`` gathers from. A portfolio's load peaks at its text, its holding
+records and its transactions' tree, not at the text and both trees. Layer-2
+entries are read only once their document's schema holds, and text that
+``json.loads`` does not read as an object is decoded whole again, for its
+error. ``validate`` walks each file once and parses the document it walked.
 """
 
 from __future__ import annotations
@@ -314,7 +316,8 @@ class _Spec:
     ``read_rows`` is the section loop, generated from the columns when first
     read, and ``reader`` its one-row case; both take a ``finish(record, row)``
     that makes the final record (days and layer-2 entries build a dict of
-    their values for it), after which the row's key counts as seen.
+    their values for it), after which the row's key counts as seen. A spec
+    called is its section loop, so it is its own entry in a sections table.
     """
 
     def __init__(self, noun, columns, order, build=None, key=None, duplicate="", record=None, fill=""):
@@ -326,6 +329,9 @@ class _Spec:
     @functools.cached_property
     def read_rows(self) -> Callable:
         return _reader(self)
+
+    def __call__(self, rows: list, coin_decimals: int, source=None, issues=None, finish=None, seen=None) -> list:
+        return self.read_rows(rows, coin_decimals, source, issues, finish, seen)
 
     def reader(self, row: Any, coin_decimals: int, seen: set | None = None, finish: Callable | None = None) -> Any:
         return self.read_rows([row], coin_decimals, None, None, finish, seen)[0]
@@ -487,7 +493,7 @@ _L2 = _Spec(
 )
 
 NETWORK_CSV_COLUMNS = _DAY.names
-# the sections a JSON document's kind reads as soon as each is decoded (layer-2 entries wait: a file fixes their kinds)
+# a JSON kind's sections, each a key and its section loop: the walk reads them and the kind's parser gathers them
 _PORTFOLIO_SECTIONS = {"holdings": _HOLDING, "transactions": _TRANSACTION}
 _APP_SECTIONS = {"apps": _APP, "token_holdings": _TOKEN_HOLDING}
 
@@ -499,25 +505,19 @@ class _Read(NamedTuple):
     issues: list
 
 
-def _sections(document: dict[str, Any], source: str, coin_decimals: int, **readers: Callable) -> list[list]:
-    """Records of each named array of a JSON document, or every row's issue raised at once.
+def _sections(document: dict[str, Any], source: str, sections: Mapping) -> list[list]:
+    """Records of each section of ``sections`` in a document ``_read_members`` walked with that table.
 
-    Each array is read by its section loop, ``read(rows, coin_decimals,
-    source, issues)``: a spec's ``read_rows``, with its ``finish`` bound
-    where a record needs more than its columns (days: ``_read_days``). Each row is dropped once read.
-    A section ``_read_members`` has read already (a ``_Read``) is taken as it stands.
+    An absent section has none; one the walk left as it was is not an array. Every issue is raised at once.
     """
     issues: list[ValidationIssue] = []
     records = []
-    with bulk():
-        for key, read in readers.items():
-            rows, name = document.get(key, []), f"{source}:{key}"
-            if isinstance(rows, list):
-                rows = _Read(read(rows, coin_decimals, name, section_issues := []), section_issues)
-            elif not isinstance(rows, _Read):
-                rows = _Read([], [ValidationIssue(name, "schema_mismatch", "must be an array")])
-            issues += rows.issues
-            records.append(rows.records)
+    for key in sections:
+        read = document.get(key, _Read([], []))
+        if not isinstance(read, _Read):
+            read = _Read([], [ValidationIssue(f"{source}:{key}", "schema_mismatch", "must be an array")])
+        issues += read.issues
+        records.append(read.records)
     if issues:
         raise DatasetInvalid(issues)
     return records
@@ -539,18 +539,6 @@ def _merge(spec: _Spec, suffix: str, files: Iterable[tuple[str, Iterable]], issu
             else:
                 merged[key], first_file[key] = record, name
     return tuple(merged.values())
-
-
-class Decoded(NamedTuple):
-    """A JSON file's top-level members, as ``_read_members`` leaves them; ``load_*_json`` takes it in place of a path.
-
-    A section a load reads is held as its records already, so a load drops
-    nothing twice; a section still an array is single-use, as its rows are
-    dropped when its records are built.
-    """
-
-    name: str
-    document: dict[str, Any]
 
 
 # the stdlib's pieces of ``json.loads``: its C scanner where there is one, its string reader and its whitespace
@@ -597,17 +585,17 @@ def _members(text: str | bytes, source: str) -> Iterator[tuple[str, Any]]:
         yield last
 
 
-def _read_members(members: Iterable[tuple[str, Any]], source: str, coin_decimals: int, specs: Mapping) -> dict:
-    """A JSON document from its members; an array under a key of ``specs`` is read by that spec as it is given.
+def _read_members(members: Iterable[tuple[str, Any]], source: str, coin_decimals: int, sections: Mapping) -> dict:
+    """A JSON document from its members; an array under a key of ``sections`` is read by its loop as it is given.
 
-    Such a section becomes its records and issues (a ``_Read``, which ``_sections`` takes), so its rows are
-    freed before the next member is decoded; a later member of the same key replaces it.
+    This is the one place a section becomes records: its records and issues (a ``_Read``, which ``_sections``
+    gathers), its rows freed before the next member is decoded; a later member of the same key replaces it.
     """
     document = {}
     with bulk():
         for key, value in members:
-            if key in specs and isinstance(value, list):
-                value = _Read(specs[key].read_rows(value, coin_decimals, f"{source}:{key}", issues := []), issues)
+            if key in sections and isinstance(value, list):
+                value = _Read(sections[key](value, coin_decimals, f"{source}:{key}", issues := []), issues)
             document[key] = value
     return document
 
@@ -638,10 +626,10 @@ def json_document(text: str | bytes | dict[str, Any], source: str) -> dict[str, 
     return document
 
 
-def _schema_checked(text: str | dict[str, Any], source: str, coin_decimals: int, specs: Mapping) -> dict[str, Any]:
-    """``json_document`` of a JSON text or top-level object whose ``specs`` sections are read as they are given."""
+def _schema_checked(text: str | dict[str, Any], source: str, coin_decimals: int, sections: Mapping) -> dict[str, Any]:
+    """``json_document`` of a JSON text or top-level object whose ``sections`` are read as they are given."""
     members = text.items() if isinstance(text, dict) else _members(text, source)
-    return json_document(_read_members(members, source, coin_decimals, specs), source)
+    return json_document(_read_members(members, source, coin_decimals, sections), source)
 
 
 def _read(path: str | Path) -> tuple[str, str]:
@@ -653,12 +641,10 @@ def _read(path: str | Path) -> tuple[str, str]:
         raise SchemaMismatch(path.name, f"not UTF-8 text: {exc}") from None
 
 
-def _document(path: str | Path | Decoded, coin_decimals: int, specs: Mapping) -> tuple[dict[str, Any], str]:
-    """A JSON file's members (``Decoded``) and its name; the file's text is held by the walk alone, which frees it."""
-    if isinstance(path, Decoded):
-        return path.document, path.name
+def _document(path: str | Path, coin_decimals: int, sections: Mapping) -> tuple[dict[str, Any], str]:
+    """A JSON file's walked members and its name; the file's text is held by the walk alone, which frees it."""
     name = Path(path).name
-    return _read_members(_members(_read(path)[0], name), name, coin_decimals, specs), name
+    return _read_members(_members(_read(path)[0], name), name, coin_decimals, sections), name
 
 
 def _day(values: dict[str, Any], consensus: ConsensusParams) -> NetworkDay:
@@ -738,18 +724,16 @@ def load_network_csv(
 def parse_portfolio_json(
     text: str | dict[str, Any], source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> Portfolio:
-    """Parse and validate a portfolio document: its JSON text, or its top-level object (see ``Decoded``)."""
+    """Parse and validate a portfolio document: its JSON text, or its top-level object as ``_document`` walks it."""
     document = _schema_checked(text, source, coin_decimals, _PORTFOLIO_SECTIONS)
     network_id = document.get("network_id")
     if not isinstance(network_id, str) or not network_id:
         raise SchemaMismatch(source, "missing network_id")
-    holdings, transactions = _sections(
-        document, source, coin_decimals, holdings=_HOLDING.read_rows, transactions=_TRANSACTION.read_rows
-    )
+    holdings, transactions = _sections(document, source, _PORTFOLIO_SECTIONS)
     return Portfolio(network_id, tuple(holdings), tuple(transactions))
 
 
-def load_portfolio_json(path: str | Path | Decoded, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> Portfolio:
+def load_portfolio_json(path: str | Path, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> Portfolio:
     return parse_portfolio_json(*_document(path, coin_decimals, _PORTFOLIO_SECTIONS), coin_decimals)
 
 
@@ -757,17 +741,11 @@ def parse_apps_json(
     text: str | dict[str, Any], source: str, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> AppBundle:
     """Parse and validate an app registry document: its JSON text, or its top-level object."""
-    apps, token_holdings = _sections(
-        _schema_checked(text, source, coin_decimals, _APP_SECTIONS),
-        source,
-        coin_decimals,
-        apps=_APP.read_rows,
-        token_holdings=_TOKEN_HOLDING.read_rows,
-    )
+    apps, token_holdings = _sections(_schema_checked(text, source, coin_decimals, _APP_SECTIONS), source, _APP_SECTIONS)
     return AppBundle(tuple(apps), tuple(token_holdings))
 
 
-def load_apps_json(path: str | Path | Decoded, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> AppBundle:
+def load_apps_json(path: str | Path, coin_decimals: int = DEFAULT_COIN_DECIMALS) -> AppBundle:
     return parse_apps_json(*_document(path, coin_decimals, _APP_SECTIONS), coin_decimals)
 
 
@@ -778,8 +756,9 @@ def parse_days_json(
 
     Every issue, named ``<network_id>:days``, is raised at once as DatasetInvalid.
     """
-    read = functools.partial(_read_days, consensus)
-    return tuple(_sections({"days": document.get("days")}, network_id, coin_decimals, days=read)[0])
+    sections = {"days": functools.partial(_read_days, consensus)}
+    walked = _read_members([("days", document.get("days"))], network_id, coin_decimals, sections)
+    return tuple(_sections(walked, network_id, sections)[0])
 
 
 def parse_l2_json(
@@ -833,13 +812,15 @@ def _parse_l2(text, source, host_consensus, coin_decimals, fixed: dict[str, tupl
             declared[l2_id] = kind
         return record
 
+    # read only once the whole document is checked: the hook writes to ``fixed``, and a repeated key's last array counts
+    sections = {"l2s": functools.partial(_L2, finish=entry)}
     document = _schema_checked(text, source, coin_decimals, {})
-    (entries,) = _sections(document, source, coin_decimals, l2s=functools.partial(_L2.read_rows, finish=entry))
+    (entries,) = _sections(_read_members(document.items(), source, coin_decimals, sections), source, sections)
     return L2Bundle(tuple(entries), declared)
 
 
 def load_l2_json(
-    path: str | Path | Decoded, host_consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
+    path: str | Path, host_consensus: ConsensusParams, coin_decimals: int = DEFAULT_COIN_DECIMALS
 ) -> L2Bundle:
     return parse_l2_json(*_document(path, coin_decimals, {}), host_consensus, coin_decimals)
 
@@ -861,11 +842,10 @@ def validate_files(
                 days.append((path.name, load_network_csv(path, network_id, consensus, coin_decimals)))
                 continue
             document, name = _document(path, coin_decimals, {**_PORTFOLIO_SECTIONS, **_APP_SECTIONS})
-            decoded = Decoded(name, document)
             if "holdings" in document or "transactions" in document:
-                portfolios.append((name, load_portfolio_json(decoded, coin_decimals)))
+                portfolios.append((name, parse_portfolio_json(document, name, coin_decimals)))
             elif "apps" in document or "token_holdings" in document:
-                apps.append((name, load_apps_json(decoded, coin_decimals)))
+                apps.append((name, parse_apps_json(document, name, coin_decimals)))
             elif "l2s" in document:
                 l2s.append((name, _parse_l2(document, name, consensus, coin_decimals, l2_kinds)))
             else:

@@ -13,6 +13,7 @@ and one text routine, ``format_ratio_shifted``, places its digits.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ArgumentMismatch, InvalidValue
@@ -149,12 +150,18 @@ def format_ratio_shifted(n: int, d: int, sig_digits: int, shift: int) -> tuple[s
     Rounding to significant digits commutes with powers of ten, so the same
     (q, k) renders both; this is how Wh and kWh cells are made together. A
     cell with no shifted twin passes ``shift`` 0 and reads the first text.
-    The texts are normalized decimals: no exponent, no trailing zeros.
+    The texts are normalized decimals: no exponent, no trailing zeros. More
+    ``sig_digits`` than the interpreter's integer digit limit raise
+    ``ArgumentMismatch``.
     """
     q, k = _round_half_even(n, d, sig_digits)
     if q == 0:
         return "0", "0"
-    digits = str(q).rstrip("0")
+    try:
+        digits = str(q).rstrip("0")
+    except ValueError:  # more digits than the interpreter turns into text
+        limit = f"{sys.get_int_max_str_digits()}, the interpreter's limit on the digits of an integer"
+        raise ArgumentMismatch(f"sig_digits {sig_digits} is above {limit}") from None
     k += sig_digits - len(digits)  # q has sig_digits digits
     # placed twice, not by a helper: a call per cell costs more than the placing
     if k >= 0:

@@ -7,6 +7,7 @@ numeric kernel or the report's period selection, with its message.
 """
 
 import datetime as dt
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,9 +36,9 @@ from carbon_ledger import (
     method_weights,
 )
 from carbon_ledger.apps import AppDay
-from carbon_ledger.engine import MethodWeights
+from carbon_ledger.engine import MethodWeights, summarize
 from carbon_ledger.ingestion import Dataset
-from carbon_ledger.numeric import decimal_str, format_ratio, format_ratio_shifted, format_sig
+from carbon_ledger.numeric import decimal_str, format_ratio, format_ratio_shifted, format_sig, round_sig
 from carbon_ledger.report import series_rows
 from conftest import POW, frac, pow_day
 
@@ -51,6 +52,13 @@ RESULT = allocate_holding(pow_day(date=D1, emission_factor="400"), None, HOLDING
 ZERO = allocate_holding(DAY, None, HoldingRecord("alice", D1, CoinAmount(0)), Method.HOLDING_BASED)
 
 NOT_A_RATIO = "a ratio n/d to round needs n >= 0 and d > 0"
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+TOO_MANY_DIGITS = f"sig_digits 5000 is above {DIGIT_LIMIT}, the interpreter's limit on the digits of an integer"
+# one date's transaction results drawing on two pools of different energy: the network's hybrid pool and an app's
+MIXED_POOLS = (
+    allocate_transaction(DAY, WEIGHTS, TX, Method.HYBRID, POW),
+    allocate_app_transaction(DAY, WEIGHTS, APP, TX, POW),
+)
 
 CASES = {
     "weights_sum": (
@@ -122,9 +130,21 @@ CASES = {
     "shifted_ratio_negative_numerator": (lambda: format_ratio_shifted(-7, 3, 6, 3), NOT_A_RATIO),
     "shifted_ratio_negative_denominator": (lambda: format_ratio_shifted(7, -3, 6, 3), NOT_A_RATIO),
     "shifted_ratio_zero_denominator": (lambda: format_ratio_shifted(7, 0, 6, 3), NOT_A_RATIO),
+    # more digits than str() of an int gives: the kernel still rounds (``round_sig``), the text cannot be made
+    "sig_digits_above_int_digit_limit": (lambda: format_sig(Fraction(1, 3), 5000), TOO_MANY_DIGITS),
+    "ratio_sig_digits_above_int_digit_limit": (lambda: format_ratio(1, 3, 5000), TOO_MANY_DIGITS),
+    "shifted_ratio_sig_digits_above_int_digit_limit": (lambda: format_ratio_shifted(1, 3, 5000, 3), TOO_MANY_DIGITS),
     "no_finite_decimal": (
         lambda: decimal_str(Fraction(1, 3)),
         "Fraction(1, 3) has no finite decimal expansion",
+    ),
+    "summary_of_mixed_pools": (
+        lambda: summarize(Method.HYBRID, MIXED_POOLS),
+        "transaction results of 2021-01-01 draw on more than one pool",
+    ),
+    "summary_of_mixed_pools_reversed": (
+        lambda: summarize(Method.HYBRID, MIXED_POOLS[::-1]),
+        "transaction results of 2021-01-01 draw on more than one pool",
     ),
     "period_without_days": (
         lambda: series_rows(Dataset("btc", POW, (DAY,)), start=D2),
@@ -144,6 +164,20 @@ def test_each_mismatch_raises_argument_mismatch_with_its_message(name):
         call()
     assert str(excinfo.value) == message
     assert isinstance(excinfo.value, CarbonLedgerError) and isinstance(excinfo.value, ValueError)
+
+
+def test_rounding_past_the_int_digit_limit_still_returns():
+    assert round_sig(Fraction(1, 3), 5000) == Fraction(10**5000 // 3, 10**5000)
+
+
+def test_results_on_pools_of_equal_values_still_summarize():
+    """Results built positionally each get their own pool object; equal pools still sum as one."""
+    rebuilt = [AllocationResult(r.entity_id, r.date, r.method, r.activity, r.energy, r.audit, r.carbon) for r in
+               (RESULT, RESULT)]
+    assert rebuilt[0].pool is not rebuilt[1].pool
+    summary = summarize(Method.HOLDING_BASED, rebuilt).holding
+    assert summary.total_energy.wh == 2 * RESULT.energy.wh
+    assert summary.total_carbon == Carbon(2 * RESULT.carbon.grams)
 
 
 def test_argument_mismatch_is_exported():

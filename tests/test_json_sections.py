@@ -74,9 +74,8 @@ def test_a_bad_section_does_not_hide_the_rows_of_another(tmp_path):
 
 def test_rows_are_dropped_as_read_and_keep_their_numbers():
     holdings = [HOLDING, 5, dict(HOLDING, date="2021-01-02"), ["h"], dict(HOLDING, amount="-1")]
-    decoded = ingestion.Decoded("q.json", {**PORTFOLIO, "holdings": holdings})
     with pytest.raises(DatasetInvalid) as raised:
-        ingestion.load_portfolio_json(decoded)
+        ingestion.parse_portfolio_json({**PORTFOLIO, "holdings": holdings}, "q.json")
     assert [issue.render() for issue in raised.value.issues] == [
         "q.json:holdings row 2: holding must be an object [row_invalid]",
         "q.json:holdings row 4: holding must be an object [row_invalid]",
@@ -95,10 +94,10 @@ def test_a_load_peaks_at_the_decoded_tree():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        decoded = ingestion.Decoded("portfolio.json", json.loads(text))
+        document = json.loads(text)
         loaded = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        portfolio = ingestion.load_portfolio_json(decoded)
+        portfolio = ingestion.parse_portfolio_json(document, "portfolio.json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,4 @@
-"""``validate`` walks each JSON file once and still loads it through ``ingestion.load_*_json``."""
+"""``validate`` walks each JSON file once and parses the walked document through ``ingestion.parse_*_json``."""
 
 import datetime as dt
 import json
@@ -36,14 +36,14 @@ def test_each_json_file_is_decoded_once(tmp_path, monkeypatch):
     holder = TokenHolding("alice", "dex", D1, CoinAmount(Fraction(5)))
     apps.write_text(serialize_apps(AppBundle((app,), (holder,))))
 
-    walked, whole, loaded = [], [], []
+    walked, whole, parsed = [], [], []
     real_members, real_loads = ingestion._members, json.loads
     monkeypatch.setattr(ingestion, "_members", lambda text, source: walked.append(source) or real_members(text, source))
     monkeypatch.setattr(json, "loads", lambda text, **kw: whole.append(text) or real_loads(text, **kw))
-    for name in ("load_portfolio_json", "load_apps_json"):
+    for name in ("parse_portfolio_json", "parse_apps_json"):
         real = getattr(ingestion, name)
         monkeypatch.setattr(
-            ingestion, name, lambda *args, _real=real, _name=name: loaded.append(_name) or _real(*args)
+            ingestion, name, lambda *args, _real=real, _name=name: parsed.append(_name) or _real(*args)
         )
 
     args = ["validate", str(days), str(portfolio), str(apps), "--network", "bitcoin", "--consensus", "pow"]
@@ -51,4 +51,4 @@ def test_each_json_file_is_decoded_once(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert walked == ["portfolio.json", "apps.json"]
     assert whole == []  # valid text is walked member by member, never decoded whole
-    assert loaded == ["load_portfolio_json", "load_apps_json"]
+    assert parsed == ["parse_portfolio_json", "parse_apps_json"]
